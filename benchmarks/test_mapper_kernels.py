@@ -1,8 +1,10 @@
-"""Kernel micro-benchmark: vectorized vs reference mapper paths.
+"""Kernel micro-benchmark: production vs reference mapper paths.
 
-CI's smoke job runs this to catch a vectorized-kernel performance
-regression: the batched kernels exist *only* to be faster, so "vectorized
-not slower than reference" is a hard invariant here (with a generous noise
+CI's smoke job runs this to catch a production-kernel performance
+regression: TopoLB's batched ``vectorized`` kernel and RefineTopoLB's
+``incremental`` sweep (which the ``vectorized`` name resolves to for the
+refiner) exist *only* to be faster, so "production not slower than
+reference" is a hard invariant here (with a generous noise
 margin — CI boxes are shared and single runs jitter). ``docs/PERFORMANCE.md``
 documents the full measurement protocol behind the recorded
 ``BENCH_kernels_*.json`` artifacts; this file is the cheap sentinel, not
@@ -74,9 +76,8 @@ def test_topolb_vectorized_not_slower(benchmark, instance, order):
 def test_refine_vectorized_not_slower(benchmark, instance):
     graph, topo = instance
     # Refine a TopoLB placement — how every registered pipeline invokes the
-    # refiner. (A random start is swap-dense enough that at smoke scale the
-    # block sweep only ties the reference path; the equivalence suite covers
-    # that regime for correctness.)
+    # refiner. ``vectorized`` names the refiner's incremental sweep; the
+    # comparator is the reference oracle, as before.
     start = TopoLB().map(graph, topo)
     ref = RefineTopoLB(kernel="reference", seed=1)
     vec = RefineTopoLB(kernel="vectorized", seed=1)

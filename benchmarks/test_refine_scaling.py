@@ -1,15 +1,24 @@
 """Incremental refine kernel at scale: the delta-structure speed claim.
 
 RefineTopoLB3 (TopoLB order-3 base + pairwise-swap refinement) is the
-pipeline the paper's quality numbers come from; the ``incremental`` kernel
-exists to make its refine phase cheap by carrying per-task best-swap rows
-across sweeps and recomputing only the rows a swap dirtied. This bench runs
-all three kernels on 3D Jacobi stencils over 8x8x8 and 12x12x12 tori
-(warm shared tables, best-of-3 wall times), asserts the three refined
-assignments are bit-identical, and enforces the recorded speed claim:
-**incremental >= 2x faster than vectorized on the 8^3 instance** (locally
-it sits near 5x; 12^3 near 3x). The claim needs the compiled kernel — on
-hosts without a C compiler the gate skips and only equivalence plus the
+pipeline the paper's quality numbers come from; the ``incremental`` kernel,
+RefineTopoLB's one production path, exists to make its refine phase cheap
+by carrying per-task best-swap rows across sweeps and recomputing only the
+rows a swap dirtied. This bench runs it and the ``reference`` oracle on 3D
+Jacobi stencils over 8x8x8 and 12x12x12 tori (warm shared tables, best-of-3
+wall times), asserts the refined assignments are bit-identical, and
+enforces the recorded speed claims against ``reference``:
+
+* 8^3: **incremental >= 3.3x faster than reference**;
+* 12^3: incremental >= 1.18x faster than reference.
+
+These restate the earlier gates against the deleted block-sweep kernel
+("incremental >= 2x vectorized" at 8^3, "incremental not slower than
+vectorized" at 12^3) without loosening them: the recorded block sweep ran
+at 20.39 ms vs reference 33.48 ms on 8^3 (1.64x) and 609.71 ms vs
+721.06 ms on 12^3 (1.18x), so 2 x 1.64 = 3.3 and 1 x 1.18 = 1.18 are the
+gates the old claims imply. The claim needs the compiled kernel — on hosts
+without a C compiler the gate skips and only equivalence plus the
 ``BENCH_refine_incremental_*.json`` quality pins run. Set
 ``REPRO_RECORD_BENCH=1`` to re-record after an intentional change.
 """
@@ -32,9 +41,10 @@ from repro.taskgraph import mesh3d_pattern
 from repro.topology import Torus
 
 SIDES = (8, 12)
-KERNELS = ("reference", "vectorized", "incremental")
-#: The recorded claim (8^3 gate): incremental beats vectorized by >= 2x.
-MIN_SPEEDUP = 2.0
+KERNELS = ("reference", "incremental")
+#: Required incremental-over-reference speedup per torus side (see the
+#: module docstring for how each carries over an earlier gate).
+MIN_SPEEDUP = {8: 3.3, 12: 1.18}
 #: Same shared-runner jitter allowance the kernel smoke bench uses.
 NOISE_MARGIN = 1.1
 
@@ -87,11 +97,10 @@ def test_incremental_refine_scaling(benchmark, side):
     )
 
     # The speed claim is only worth making about an equivalent kernel.
-    for kernel in ("vectorized", "incremental"):
-        np.testing.assert_array_equal(
-            mappings[kernel].assignment, mappings["reference"].assignment,
-            err_msg=f"{kernel} diverged at {side}^3",
-        )
+    np.testing.assert_array_equal(
+        mappings["incremental"].assignment, mappings["reference"].assignment,
+        err_msg=f"incremental diverged at {side}^3",
+    )
 
     # Sweep/swap counts are deterministic (seeded, bit-identical kernels);
     # record them from an untimed profiled run.
@@ -113,11 +122,10 @@ def test_incremental_refine_scaling(benchmark, side):
         "swaps_accepted": counters["refine.swaps_accepted"],
         "native_kernel": _native.available(),
         "ms_reference": round(timings["reference"] * 1e3, 2),
-        "ms_vectorized": round(timings["vectorized"] * 1e3, 2),
         "ms_incremental": round(timings["incremental"] * 1e3, 2),
-        "speedup_vs_vectorized": round(
-            timings["vectorized"] / timings["incremental"], 2),
-        "min_speedup_gate": MIN_SPEEDUP if side == 8 else None,
+        "speedup_vs_reference": round(
+            timings["reference"] / timings["incremental"], 2),
+        "min_speedup_gate": MIN_SPEEDUP[side],
     }
     if os.environ.get("REPRO_RECORD_BENCH"):
         _artifact(side).write_text(
@@ -135,17 +143,10 @@ def test_incremental_refine_scaling(benchmark, side):
 
     if not _native.available():
         pytest.skip("no C compiler: numpy fallback is correct but not "
-                    "subject to the >= 2x speed gate")
-    speedup = timings["vectorized"] / timings["incremental"]
-    if side == 8:
-        assert timings["incremental"] * MIN_SPEEDUP \
-            <= timings["vectorized"] * NOISE_MARGIN, (
-                f"incremental only {speedup:.2f}x faster than vectorized "
-                f"at 8^3 (gate: {MIN_SPEEDUP}x)"
-            )
-    else:
-        # Larger machines must at least never regress past vectorized.
-        assert timings["incremental"] <= timings["vectorized"] * NOISE_MARGIN, (
-            f"incremental slower than vectorized at {side}^3 "
-            f"({speedup:.2f}x)"
+                    "subject to the speed gate")
+    speedup = timings["reference"] / timings["incremental"]
+    assert timings["incremental"] * MIN_SPEEDUP[side] \
+        <= timings["reference"] * NOISE_MARGIN, (
+            f"incremental only {speedup:.2f}x faster than reference at "
+            f"{side}^3 (gate: {MIN_SPEEDUP[side]}x)"
         )

@@ -254,7 +254,6 @@ def _build_refine(opts, seed):
         max_sweeps=int(opts.get("passes", 10)),
         seed=seed or 0,
         kernel=_kernel_arg(opts),
-        block_size=int(opts.get("block", 64)),
     )
 
 
@@ -383,7 +382,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
                 _nested_opt("base", "mapper producing the initial mapping "
                             "(a spec with ',' separators)", "none"),
                 _int_opt("passes", "maximum full sweeps over the tasks", "10"),
-                _int_opt("block", "vectorized-kernel block size", "64"),
                 _KERNEL_OPT,
             ),
             _build_refine,

@@ -1,17 +1,19 @@
-"""On-demand compiled kernel for the incremental refine sweep.
+"""On-demand compiled kernels for the refine sweep and heavy-edge matching.
 
-``repro.mapping.refine_kernel.c`` holds a scalar C implementation of one
-RefineTopoLB sweep with the incremental delta structure. This module
-compiles it with the system C compiler (``cc``/``gcc``/``clang``) the first
-time it is needed, caches the shared object under the system temp directory
-keyed by a hash of the source and build flags, and loads it through
-:mod:`ctypes` — no third-party build dependency.
+``repro.mapping.refine_kernel.c`` holds scalar C implementations of one
+RefineTopoLB sweep with the incremental delta structure and of the
+multilevel coarsener's heavy-edge matching scan. This module compiles it
+with the system C compiler (``cc``/``gcc``/``clang``) the first time it is
+needed, caches the shared object under the system temp directory keyed by a
+hash of the source and build flags, and loads it through :mod:`ctypes` — no
+third-party build dependency.
 
 The compiled path is strictly optional: :class:`~repro.mapping.refine.
-RefineTopoLB` falls back to the pure-NumPy incremental kernel when no
-toolchain is available (or when ``REPRO_NO_NATIVE`` is set, which the test
-suite uses to pin both paths). ``-ffp-contract=off`` keeps the C arithmetic
-bitwise identical to the NumPy reference kernel — no fused multiply-adds.
+RefineTopoLB` and :func:`~repro.partition.coarsening.heavy_edge_matching`
+fall back to their pure-Python/NumPy loops when no toolchain is available
+(or when ``REPRO_NO_NATIVE`` is set, which the test suite uses to pin both
+paths). ``-ffp-contract=off`` keeps the C arithmetic bitwise identical to
+the NumPy reference kernel — no fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ _UNSET = object()
 _cached: object = _UNSET
 
 
-class NativeRefine:
-    """Thin typed wrapper around the compiled sweep function."""
+class NativeKernels:
+    """Thin typed wrappers around the compiled functions."""
 
     def __init__(self, lib: ctypes.CDLL):
         fn = lib.refine_sweep_incremental
@@ -59,6 +61,17 @@ class NativeRefine:
             arr(np.int64, flags="C_CONTIGUOUS"),    # stats (4)
         ]
         self._fn = fn
+        match = lib.heavy_edge_matching
+        match.restype = None
+        match.argtypes = [
+            i64,
+            arr(np.int64, flags="C_CONTIGUOUS"),    # indptr (n + 1)
+            arr(np.int64, flags="C_CONTIGUOUS"),    # indices (nnz)
+            arr(np.float64, flags="C_CONTIGUOUS"),  # weights (nnz)
+            arr(np.int64, flags="C_CONTIGUOUS"),    # perm (n)
+            arr(np.int64, flags="C_CONTIGUOUS"),    # match (n), written
+        ]
+        self._match = match
 
     def sweep(self, cost, dist, assign, indptr, indices, weights, perm,
               best_b, best_val, valid, stats) -> bool:
@@ -68,6 +81,21 @@ class NativeRefine:
         if rc < 0:  # pragma: no cover - allocation failure inside C
             raise MemoryError("refine_sweep_incremental scratch allocation")
         return bool(rc)
+
+    def heavy_edge_matching(self, indptr, indices, weights,
+                            perm) -> np.ndarray:
+        """``match`` for a CSR graph visited in ``perm`` order."""
+        n = len(perm)
+        match = np.empty(n, dtype=np.int64)
+        self._match(
+            n,
+            np.ascontiguousarray(indptr, dtype=np.int64),
+            np.ascontiguousarray(indices, dtype=np.int64),
+            np.ascontiguousarray(weights, dtype=np.float64),
+            np.ascontiguousarray(perm, dtype=np.int64),
+            match,
+        )
+        return match
 
 
 def _compiler() -> str | None:
@@ -86,7 +114,7 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
-def _build() -> NativeRefine | None:
+def _build() -> NativeKernels | None:
     cc = _compiler()
     if cc is None:
         return None
@@ -110,11 +138,11 @@ def _build() -> NativeRefine | None:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    return NativeRefine(ctypes.CDLL(so_path))
+    return NativeKernels(ctypes.CDLL(so_path))
 
 
-def load() -> NativeRefine | None:
-    """The compiled sweep, or ``None`` when unavailable.
+def load() -> NativeKernels | None:
+    """The compiled kernels, or ``None`` when unavailable.
 
     ``REPRO_NO_NATIVE`` is consulted on every call (so tests can flip the
     fallback path with a plain env monkeypatch); the build itself — including
@@ -133,5 +161,5 @@ def load() -> NativeRefine | None:
 
 
 def available() -> bool:
-    """True when the compiled sweep can be used in this process."""
+    """True when the compiled kernels can be used in this process."""
     return load() is not None

@@ -1,33 +1,35 @@
 """Kernel selection for the mapper hot paths.
 
 The performance-critical mappers (:class:`~repro.mapping.topolb.TopoLB`,
-:class:`~repro.mapping.refine.RefineTopoLB`) ship two implementations of
-their inner loops:
-
-``"vectorized"`` (the default)
-    Batched NumPy kernels: neighbor-row updates, stale-argmin repair, and
-    swap-delta evaluation operate on whole index blocks per call instead of
-    one Python-level element at a time. Produces **bit-identical
-    assignments** to the reference kernel (enforced by
-    ``tests/mapping/test_kernel_equivalence.py``).
+:class:`~repro.mapping.refine.RefineTopoLB`) each keep one production
+implementation of their inner loop plus a scalar reference:
 
 ``"reference"``
     The original scalar loops, kept verbatim as the executable
-    specification. Slower, but trivially auditable against the paper's
-    pseudocode; the equivalence suite and the ``BENCH_kernels_*.json``
-    before/after profiles are both recorded against this path.
+    specification and test oracle. Slower, but trivially auditable against
+    the paper's pseudocode; the equivalence suite
+    (``tests/mapping/test_kernel_equivalence.py``) pins every production
+    kernel to **bit-identical assignments** against this path.
+
+``"vectorized"`` (the default)
+    TopoLB's batched NumPy kernel: neighbor-row updates and stale-argmin
+    repair operate on whole index blocks per call instead of one
+    Python-level element at a time. For RefineTopoLB the name resolves to
+    the incremental sweep below.
 
 ``"incremental"``
-    The sweep-to-sweep delta structure in
-    :class:`~repro.mapping.refine.RefineTopoLB`: per-task best-swap caches
-    plus a dirty set keyed by the tasks an accepted swap touched, so each
-    sweep after the first costs O(changed) instead of O(n^2). Also pinned
-    bit-identical to ``"reference"`` by the equivalence suite. Mappers
-    without an incremental formulation (TopoLB's cost-table construction
-    has no sweep-to-sweep state to reuse) treat ``"incremental"`` as
+    RefineTopoLB's production sweep: per-task best-swap caches plus a dirty
+    set keyed by the tasks an accepted swap touched, so each sweep after
+    the first costs O(changed) instead of O(n^2). Runs as compiled C when a
+    toolchain is available, with a bit-identical NumPy fallback. TopoLB has
+    no sweep-to-sweep state to reuse and treats ``"incremental"`` as
     ``"vectorized"``, so the name is valid process-wide — e.g. for
     ``multilevel`` specs, where only the per-level refine has a delta
     structure to exploit.
+
+So RefineTopoLB has two paths, ``reference`` and ``incremental``, and
+reports the one it resolved to through its ``kernel`` property; TopoLB has
+``reference`` and ``vectorized``.
 
 Mappers take ``kernel=None`` to mean "use the process-wide default", which
 :func:`set_default_kernel` flips (the CLI exposes it as ``--kernel``). See

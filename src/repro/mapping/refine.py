@@ -18,39 +18,35 @@ sweep evaluates, for each task ``a``, the delta against *every* other task
 and greedily applies the best strictly-negative swap; sweeps repeat until a
 full pass makes no swap or ``max_sweeps`` is hit.
 
-Three kernels implement the sweep (see :mod:`repro.mapping.kernels`). The
-``"reference"`` kernel evaluates one task row at a time, exactly as above.
-The ``"vectorized"`` kernel (default) is the *block sweep*: it evaluates the
-delta rows for a whole block of ``block_size`` tasks as one ``(B, n)``
-matrix expression, then walks the block in sweep order consuming the
-precomputed rows. The precomputed rows are valid until the first accepted
-swap mutates ``assign``/``cost``; from that point the block is discarded and
-a fresh (small, re-doubling) window restarts just past the swap, so the
-block sweep visits the same tasks in the same order with the same deltas as
-the reference kernel — bit-identical refined mappings (converged sweeps,
-where no swap fires, collapse to ~``log(n / B)`` matrix operations total).
+Two kernels implement the sweep (see :mod:`repro.mapping.kernels`). The
+``"reference"`` kernel evaluates one task row at a time, exactly as above,
+and is kept as the test oracle. The production kernel, ``"incremental"``
+(every other kernel name resolves to it), caches each task's best swap
+partner ``(argmin, min)`` and, after an accepted swap of ``(a, b)``, only
+touches what actually changed. The dirty set is ``{a, b} ∪ N(a) ∪ N(b)`` —
+exactly the tasks whose ``assign``/``cost``-row entries
+:meth:`RefineTopoLB._apply_swap` mutated — so a cached row outside the dirty
+set changed *only at the dirty columns*. Those entries are recomputed in the
+reference term order (bitwise equal to a fresh evaluation) and folded into
+the cache under argmin's lowest-index tie-breaking; rows inside the dirty
+set, and rows whose cached argmin fell in it (their proof of minimality is
+gone), are recomputed in full on their next visit. Sweeps after the first
+therefore cost O(changed): a converged sweep is n cache reads, and each
+accepted swap repairs O(n · (deg a + deg b)) entries. On dense graphs
+(degree ~ n, e.g. all-to-all) the dirty set covers every column and the
+repair degenerates to recomputing every row — the win is for the sparse
+stencils the paper maps.
 
-The ``"incremental"`` kernel replaces *discard* with *repair*: it caches
-each task's best swap partner ``(argmin, min)`` and, after an accepted swap
-of ``(a, b)``, only touches what actually changed. The dirty set is
-``{a, b} ∪ N(a) ∪ N(b)`` — exactly the tasks whose ``assign``/``cost``-row
-entries :meth:`RefineTopoLB._apply_swap` mutated — so a cached row outside
-the dirty set changed *only at the dirty columns*. Those entries are
-recomputed as one ``(rows, |dirty|)`` matrix in the reference term order
-(bitwise equal to a fresh evaluation) and folded into the cache under
-argmin's lowest-index tie-breaking; rows inside the dirty set, and rows
-whose cached argmin fell in it (their proof of minimality is gone), are
-recomputed in full on their next visit. Sweeps after the first therefore
-cost O(changed): a converged sweep is n cache reads, and each accepted swap
-repairs O(n · (deg a + deg b)) entries instead of discarding an O(n²)
-precomputation. On dense graphs (degree ~ n, e.g. all-to-all) the dirty set
-covers every column and the repair degenerates to vectorized-kernel cost —
-the win is for the sparse stencils the paper maps.
+The sweep runs in compiled C (:mod:`repro.mapping._native`) when a C
+toolchain is available, and in a bit-identical NumPy formulation otherwise
+(or when ``REPRO_NO_NATIVE`` is set). The equivalence suite pins both to the
+reference kernel's assignments.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import obs
 from repro.exceptions import MappingError
@@ -63,6 +59,11 @@ from repro.topology.base import Topology
 from repro.utils.rng import as_rng
 
 __all__ = ["RefineTopoLB"]
+
+#: Rows the NumPy sweep brings current per batch, doubling while no swap
+#: interrupts. Batch size never changes the result, only how much row work
+#: an accepted swap leaves unread.
+_CHUNK = 64
 
 
 class RefineTopoLB(Mapper):
@@ -80,33 +81,27 @@ class RefineTopoLB(Mapper):
         Sweep order is randomized (a fixed order can get stuck in the same
         local minimum every sweep); the seed makes runs reproducible.
     kernel:
-        ``"vectorized"`` (block sweep, the default), ``"reference"``
-        (row-at-a-time), ``"incremental"`` (cached best-swap rows with
-        dirty-set repair), or ``None`` for the process-wide default.
-    block_size:
-        Tasks per ``(B, n)`` delta block in the vectorized kernel. Larger
-        blocks amortize better on converged sweeps but waste more
-        precomputation when swaps fire early in a block.
+        ``"reference"`` (row-at-a-time, the test oracle), any other kernel
+        name for the production incremental sweep, or ``None`` for the
+        process-wide default.
     """
 
     strategy_name = "RefineTopoLB"
 
     def __init__(self, base: Mapper | None = None, max_sweeps: int = 10,
                  seed: int | np.random.Generator | None = 0,
-                 kernel: str | None = None, block_size: int = 64):
+                 kernel: str | None = None):
         if max_sweeps < 1:
             raise MappingError(f"max_sweeps must be >= 1, got {max_sweeps}")
-        if block_size < 1:
-            raise MappingError(f"block_size must be >= 1, got {block_size}")
         self._base = base
         self._max_sweeps = int(max_sweeps)
         self._seed = seed
-        self._kernel = resolve_kernel(kernel)
-        self._block_size = int(block_size)
+        kernel = resolve_kernel(kernel)
+        self._kernel = "reference" if kernel == "reference" else "incremental"
 
     @property
     def kernel(self) -> str:
-        """The resolved kernel name ("vectorized", "reference" or "incremental")."""
+        """The resolved kernel: ``"reference"`` or ``"incremental"``."""
         return self._kernel
 
     def map(
@@ -141,10 +136,8 @@ class RefineTopoLB(Mapper):
         shared per-(graph, topology) tables.
         """
         allowed = resolve_allowed(mapping.topology, allowed)
-        run = {
-            "reference": self._refine_reference,
-            "incremental": self._refine_incremental,
-        }.get(self._kernel, self._refine_vectorized)
+        run = (self._refine_reference if self._kernel == "reference"
+               else self._refine_incremental)
         prof = obs.active()
         if prof is None:
             return run(mapping, allowed=allowed, ctx=ctx)
@@ -180,9 +173,15 @@ class RefineTopoLB(Mapper):
         indptr, indices, weights = ctx.csr_arrays()
         assign = mapping.assignment.copy()
 
-        # C[t, q] = first-order cost of task t if it sat on processor q.
-        csr = ctx.adjacency_csr()
-        cost = np.asarray(csr @ dist[assign])  # (n, p)
+        # C[t, q] = first-order cost of task t if it sat on processor q:
+        # sum over neighbors j of w_tj * d(P(j), q). Pointing each stored
+        # nonzero at its neighbor's processor (stored order kept, so every
+        # row sums its terms in the same order) multiplies straight against
+        # dist, without materializing the n x p gather dist[assign].
+        placed = sp.csr_matrix(
+            (weights, assign[indices], indptr), shape=(n, dist.shape[0])
+        )
+        cost = np.asarray(placed @ dist)  # (n, p)
         return n, rng, dist, indptr, indices, weights, assign, cost
 
     @staticmethod
@@ -217,8 +216,9 @@ class RefineTopoLB(Mapper):
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> Mapping:
-        """Row-at-a-time sweep — the executable specification of the block
-        sweep; the equivalence suite pins the two to identical outputs.
+        """Row-at-a-time sweep — the executable specification of the
+        incremental sweep; the equivalence suite pins the two to identical
+        outputs.
 
         Swaps only exchange the processors of two mapped tasks, so the sweep
         body is mask-oblivious: a mapping that starts on allowed processors
@@ -267,130 +267,6 @@ class RefineTopoLB(Mapper):
         self._record_totals(prof, n, sweeps, evaluations, accepted)
         return mapping.with_assignment(assign)
 
-    def _refine_vectorized(
-        self, mapping: Mapping, prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
-        ctx: MappingContext | None = None,
-    ) -> Mapping:
-        """Block sweep: precompute ``(B, n)`` delta rows, consume them until
-        the first accepted swap invalidates the block (see module docstring).
-        """
-        n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
-            mapping, allowed, ctx
-        )
-
-        ids = np.arange(n)
-        bsize = min(self._block_size, n)
-        # Post-swap restart size. An accepted swap discards the precomputed
-        # rows after it, so on swap-dense sweeps a large restart window
-        # wastes almost all of its (B, n) block; restarting small and
-        # re-doubling bounds the waste per swap at O(floor * n) while
-        # converged sweeps still grow the window to n within a few blocks.
-        floor = min(bsize, 4)
-        sweeps = evaluations = accepted = 0
-        blocks_precomputed = 0
-
-        # diag[t] = cost[t, assign[t]], maintained incrementally: the full
-        # diagonal gather strides one row per element (a p-page walk), and
-        # paying it per block dominated swap-dense sweeps. A swap only moves
-        # the entries of a, b, and their neighbors (the only rows/columns of
-        # the gather that changed), so those are re-copied after each swap —
-        # pure element copies, never arithmetic, hence bitwise identical to
-        # regathering the whole diagonal.
-        diag = cost[ids, assign]
-
-        def block_deltas(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """All delta rows of ``block`` in one (B, n) expression, reduced
-            to per-row (argmin, min). The elementwise term order matches the
-            reference kernel's row exactly (in-place +=/-= keep the same
-            left-to-right evaluation), so every precomputed row is bitwise
-            equal to a fresh one and argmin picks the same partner.
-            """
-            pa_blk = assign[block]
-            deltas = cost[block[:, None], assign[None, :]]  # C[a, pb]
-            deltas += cost[:, pa_blk].T                     # C[b, pa]
-            deltas -= diag[block][:, None]                  # C[a, pa]
-            deltas -= diag[None, :]                         # C[b, pb]
-            # Neighbor-edge correction for every block row at once: flatten
-            # the block's CSR slices, then scatter-add. (task-row, neighbor)
-            # pairs are unique, so the fancy-indexed += is exact.
-            rows = np.arange(len(block))
-            los, his = indptr[block], indptr[block + 1]
-            degs = his - los
-            total = int(degs.sum())
-            if total:
-                offsets = np.repeat(his - np.cumsum(degs), degs)
-                flat = offsets + np.arange(total)
-                nbrs = indices[flat]
-                rows_rep = np.repeat(rows, degs)
-                deltas[rows_rep, nbrs] += (
-                    2.0 * weights[flat] * dist[assign[block[rows_rep]], assign[nbrs]]
-                )
-            deltas[rows, block] = 0.0
-            bmins = deltas.argmin(axis=1)
-            return bmins, deltas[rows, bmins]
-
-        for _sweep in range(self._max_sweeps):
-            swapped = False
-            sweep_visits = sweep_accepted = 0
-            if prof is not None:
-                sweeps += 1
-            perm = rng.permutation(n)
-            pos = 0
-            window = bsize
-            while pos < n:
-                # Precompute a window of delta rows; consume them in sweep
-                # order until a swap mutates assign/cost, then restart the
-                # window just past the swap (an accepted swap invalidates
-                # every precomputed row after it). The window doubles after
-                # each swap-free block — converged sweeps collapse to a
-                # handful of precomputes — and snaps back to ``floor`` on a
-                # swap. Window size never changes the result, only how much
-                # precomputed work a swap throws away.
-                block = perm[pos:pos + window]
-                bmins, bvals = block_deltas(block)
-                blocks_precomputed += 1
-                consumed = len(block)
-                hit = False
-                for i, a in enumerate(block):
-                    improved = bvals[i] < -1e-9
-                    if prof is not None:
-                        evaluations += 1
-                        sweep_visits += 1
-                        if improved:
-                            accepted += 1
-                            sweep_accepted += 1
-                    if improved:
-                        a, b = int(a), int(bmins[i])
-                        self._apply_swap(
-                            a, b, assign, cost, dist, indptr, indices, weights,
-                        )
-                        # Entries of the diagonal the swap moved: a and b
-                        # (their assignment changed) and their neighbors
-                        # (their cost rows changed). Duplicate ids are fine —
-                        # this is plain assignment, not accumulation.
-                        upd = np.concatenate((
-                            (a, b),
-                            indices[indptr[a]:indptr[a + 1]],
-                            indices[indptr[b]:indptr[b + 1]],
-                        ))
-                        diag[upd] = cost[upd, assign[upd]]
-                        swapped = True
-                        hit = True
-                        consumed = i + 1
-                        break
-                pos += consumed
-                window = floor if hit else min(window * 2, n)
-            if prof is not None:
-                self._record_sweep(prof, n, sweeps, sweep_visits, sweep_accepted)
-            if not swapped:
-                break
-
-        self._record_totals(prof, n, sweeps, evaluations, accepted)
-        if prof is not None:
-            prof.count("refine.blocks_precomputed", blocks_precomputed)
-        return mapping.with_assignment(assign)
-
     def _refine_incremental(
         self, mapping: Mapping, prof: obs.Profiler | None = None,
         allowed: np.ndarray | None = None,
@@ -412,7 +288,7 @@ class RefineTopoLB(Mapper):
         )
 
     def _refine_incremental_native(
-        self, native: "_native.NativeRefine", mapping: Mapping,
+        self, native: "_native.NativeKernels", mapping: Mapping,
         prof: obs.Profiler | None = None,
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
@@ -422,7 +298,7 @@ class RefineTopoLB(Mapper):
         eagerly after each accepted swap (same dirty-set argument as the
         NumPy path, same reference term order — see refine_kernel.c). The
         sweep loop, RNG permutation draws, and obs accounting stay in
-        Python so all three kernels share their observable structure."""
+        Python so every path has the same observable structure."""
         n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
             mapping, allowed, ctx
         )
@@ -485,11 +361,11 @@ class RefineTopoLB(Mapper):
             mapping, allowed, ctx
         )
 
-        ids = np.arange(n)
-        bsize = min(self._block_size, n)
-        # Incrementally maintained diagonal, exactly as in the vectorized
-        # kernel (element copies only, never arithmetic).
-        diag = cost[ids, assign]
+        # diag[t] = cost[t, assign[t]], maintained incrementally after each
+        # swap (element copies only, never arithmetic, so bitwise equal to a
+        # fresh gather) — the full diagonal gather strides one cost row per
+        # element and would dominate swap-dense sweeps.
+        diag = cost[np.arange(n), assign]
 
         # The cache: per task, the index and value of its best swap partner
         # plus a validity bit. Invalid rows are recomputed (in blocks) when
@@ -503,8 +379,8 @@ class RefineTopoLB(Mapper):
         # duplicates allowed); ``folded[r]`` is the pend length row ``r``
         # has already absorbed. A swap with a dirty set >= dense_cutoff
         # drops every cache instead (folding would cost a full recompute —
-        # the dense-graph regime, where this kernel degenerates to the
-        # vectorized one); once plen reaches fold_cap the pending list is
+        # the dense-graph regime, where every swap dirties most rows); once
+        # plen reaches fold_cap the pending list is
         # folded into every valid row at once and reset, bounding fold
         # width.
         dense_cutoff = max(8, n // 8)
@@ -516,12 +392,14 @@ class RefineTopoLB(Mapper):
         pos_of = np.full(n, -1, dtype=np.int64)
 
         sweeps = evaluations = accepted = 0
-        blocks_precomputed = rows_computed = rows_folded = 0
+        rows_computed = rows_folded = 0
 
         def compute_rows(block: np.ndarray) -> None:
-            """Fill the cache for ``block`` from scratch — the same (B, n)
-            expression as the vectorized kernel's ``block_deltas`` (identical
-            elementwise term order, hence bitwise-identical rows)."""
+            """Fill the cache for ``block`` from scratch as one (B, n) delta
+            expression. In-place ``+=``/``-=`` keep the reference row's
+            elementwise term order, so every row is bitwise equal to a fresh
+            reference row; (task-row, neighbor) pairs are unique, so the
+            fancy-indexed neighbor correction is exact."""
             pa_blk = assign[block]
             deltas = cost[block[:, None], assign[None, :]]  # C[a, pb]
             deltas += cost[:, pa_blk].T                     # C[b, pa]
@@ -616,6 +494,7 @@ class RefineTopoLB(Mapper):
                 return np.concatenate(refetch)
             return rows[:0]
 
+        bsize = min(_CHUNK, n)
         floor = min(bsize, 4)
         for _sweep in range(self._max_sweeps):
             swapped = False
@@ -632,9 +511,7 @@ class RefineTopoLB(Mapper):
                 # scanned in a few vectorized comparisons and only the first
                 # row that is either untrusted (invalid / behind on pending
                 # folds) or a trusted improvement gets Python-level handling.
-                # A fully converged sweep collapses to ONE such scan — the
-                # structural win over the block sweep, which must still
-                # *compute* every row each sweep.
+                # A fully converged sweep collapses to ONE such scan.
                 cand = ~valid[rest]
                 if plen:
                     cand |= folded[rest] < plen
@@ -668,7 +545,6 @@ class RefineTopoLB(Mapper):
                                 need = np.concatenate((need, refetch))
                     if len(need):
                         compute_rows(need)
-                        blocks_precomputed += 1
                         rows_computed += len(need)
                     chunk = min(chunk * 2, n)
                     continue
@@ -692,9 +568,8 @@ class RefineTopoLB(Mapper):
                 ))
                 diag[upd] = cost[upd, assign[upd]]
                 if len(upd) >= dense_cutoff:
-                    # Dense dirty set: drop every cache, as the vectorized
-                    # kernel does after a swap, to bound the wasted block
-                    # work.
+                    # Dense dirty set: folding would cost a full recompute,
+                    # so drop every cache (rows rebuild on their next visit).
                     valid[:] = False
                     plen = 0
                     folded[:] = 0
@@ -722,7 +597,6 @@ class RefineTopoLB(Mapper):
 
         self._record_totals(prof, n, sweeps, evaluations, accepted)
         if prof is not None:
-            prof.count("refine.blocks_precomputed", blocks_precomputed)
             prof.count("refine.rows_computed", rows_computed)
             prof.count("refine.rows_folded", rows_folded)
         return mapping.with_assignment(assign)

@@ -1,4 +1,8 @@
-/* refine_kernel.c — compiled sweep for RefineTopoLB's "incremental" kernel.
+/* refine_kernel.c — compiled inner loops for the refine and coarsening paths.
+ *
+ * refine_sweep_incremental: one sweep of RefineTopoLB's "incremental"
+ * kernel (below). heavy_edge_matching: the multilevel coarsener's matching
+ * scan (at the end of the file).
  *
  * One call runs ONE full sweep of the pairwise-swap refiner with the
  * incremental delta structure: per-task best-swap caches (best_b, best_val,
@@ -217,4 +221,33 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
     free(corr);
     free(cset);
     return swapped;
+}
+
+/* Heavy-edge matching over a CSR graph, mirroring the Python loop in
+ * repro/partition/coarsening.py: visit vertices in perm order; an unmatched
+ * vertex v pairs with its first unmatched neighbor of strictly largest
+ * weight (the `w > best_w` scan from best_w = -1.0), or with itself when it
+ * has none. perm is the rng.permutation(n) Python drew; match[0..n) is
+ * overwritten (every entry ends >= 0). */
+void heavy_edge_matching(i64 n, const i64 *indptr, const i64 *indices,
+                         const double *weights, const i64 *perm, i64 *match)
+{
+    for (i64 v = 0; v < n; v++)
+        match[v] = -1;
+    for (i64 k = 0; k < n; k++) {
+        const i64 v = perm[k];
+        if (match[v] >= 0)
+            continue;
+        i64 best = v;
+        double best_w = -1.0;
+        for (i64 t = indptr[v]; t < indptr[v + 1]; t++) {
+            const i64 j = indices[t];
+            if (match[j] < 0 && j != v && weights[t] > best_w) {
+                best = j;
+                best_w = weights[t];
+            }
+        }
+        match[v] = best;
+        match[best] = v;
+    }
 }

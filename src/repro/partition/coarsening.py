@@ -29,11 +29,27 @@ __all__ = [
 def heavy_edge_matching(
     graph: TaskGraph, seed: int | np.random.Generator | None = 0
 ) -> np.ndarray:
-    """Return ``match`` with ``match[v]`` = v's partner (or ``v`` if single)."""
-    rng = as_rng(seed)
-    n = graph.num_tasks
-    match = np.full(n, -1, dtype=np.int64)
-    for v in rng.permutation(n):
+    """Return ``match`` with ``match[v]`` = v's partner (or ``v`` if single).
+
+    Vertices are visited in one ``permutation(n)`` draw from ``seed``; each
+    unmatched vertex takes its first unmatched neighbor of strictly largest
+    edge weight. The scan runs in compiled C when a toolchain is available
+    (:mod:`repro.mapping._native`) and in the Python loop below otherwise
+    (or when ``REPRO_NO_NATIVE`` is set); both give the same ``match``.
+    """
+    from repro.mapping import _native  # deferred: repro.mapping imports us
+
+    perm = as_rng(seed).permutation(graph.num_tasks)
+    native = _native.load()
+    if native is not None:
+        return native.heavy_edge_matching(*graph.csr_arrays(), perm)
+    return _matching_loop(graph, perm)
+
+
+def _matching_loop(graph: TaskGraph, perm: np.ndarray) -> np.ndarray:
+    """Pure-Python heavy-edge matching over the visit order ``perm``."""
+    match = np.full(graph.num_tasks, -1, dtype=np.int64)
+    for v in perm:
         v = int(v)
         if match[v] >= 0:
             continue

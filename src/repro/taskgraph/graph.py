@@ -39,46 +39,9 @@ class TaskGraph:
         edges: Iterable[tuple[int, int, float]] = (),
         vertex_weights: Sequence[float] | None = None,
     ):
-        if num_tasks < 1:
-            raise TaskGraphError(f"task graph needs at least one task, got {num_tasks}")
-        self._n = int(num_tasks)
-
-        if vertex_weights is None:
-            self._vertex_weights = np.ones(self._n, dtype=np.float64)
-        else:
-            self._vertex_weights = np.asarray(vertex_weights, dtype=np.float64).copy()
-            if self._vertex_weights.shape != (self._n,):
-                raise TaskGraphError(
-                    f"vertex_weights must have shape ({self._n},), "
-                    f"got {self._vertex_weights.shape}"
-                )
-            if (self._vertex_weights < 0).any():
-                raise TaskGraphError("vertex weights must be non-negative")
-        self._vertex_weights.flags.writeable = False
-
-        # Accumulate undirected edges with canonical (min, max) keys.
-        acc: dict[tuple[int, int], float] = {}
-        for a, b, w in edges:
-            a, b = int(a), int(b)
-            if not (0 <= a < self._n and 0 <= b < self._n):
-                raise TaskGraphError(f"edge ({a},{b}) references unknown task")
-            if a == b:
-                raise TaskGraphError(f"self-edge at task {a} (intra-task bytes are free)")
-            w = float(w)
-            if w < 0:
-                raise TaskGraphError(f"edge ({a},{b}) has negative weight {w}")
-            key = (a, b) if a < b else (b, a)
-            acc[key] = acc.get(key, 0.0) + w
-
-        m = len(acc)
-        self._edge_u = np.empty(m, dtype=np.int64)
-        self._edge_v = np.empty(m, dtype=np.int64)
-        self._edge_w = np.empty(m, dtype=np.float64)
-        for i, ((a, b), w) in enumerate(sorted(acc.items())):
-            self._edge_u[i] = a
-            self._edge_v[i] = b
-            self._edge_w[i] = w
-        self._finish_edges()
+        triples = [(a, b, w) for a, b, w in edges]
+        u, v, w = zip(*triples) if triples else ((), (), ())
+        self._init_arrays(num_tasks, u, v, w, vertex_weights)
 
     @classmethod
     def from_arrays(
@@ -92,15 +55,20 @@ class TaskGraph:
         """Vectorized constructor from parallel edge arrays.
 
         Produces exactly the graph ``TaskGraph(num_tasks, zip(u, v, w),
-        vertex_weights)`` would: duplicate pairs (in either orientation)
-        merge by summing in first-appearance order, and the stored edge list
-        is sorted by canonical ``(min, max)`` key. The per-edge Python loop
-        is replaced by a lexsort + reduceat, which is what makes repeated
-        graph contraction affordable at 10^5+ edges.
+        vertex_weights)`` does (``__init__`` is a thin wrapper over the same
+        merge). Duplicate pairs (in either orientation) merge by summing
+        their weights in ascending order, so the merged float64 — and with
+        it :meth:`content_digest` — does not depend on the order the
+        duplicates arrived in. The stored edge list is sorted by canonical
+        ``(min, max)`` key.
         """
+        self = object.__new__(cls)
+        self._init_arrays(num_tasks, u, v, w, vertex_weights)
+        return self
+
+    def _init_arrays(self, num_tasks, u, v, w, vertex_weights) -> None:
         if num_tasks < 1:
             raise TaskGraphError(f"task graph needs at least one task, got {num_tasks}")
-        self = object.__new__(cls)
         self._n = int(num_tasks)
 
         if vertex_weights is None:
@@ -124,12 +92,6 @@ class TaskGraph:
                 f"edge arrays must be 1-D and equal-length, got shapes "
                 f"{u.shape}/{v.shape}/{w.shape}"
             )
-        if len(u) == 0:
-            self._edge_u = np.empty(0, dtype=np.int64)
-            self._edge_v = np.empty(0, dtype=np.int64)
-            self._edge_w = np.empty(0, dtype=np.float64)
-            self._finish_edges()
-            return self
 
         bad = (u < 0) | (u >= self._n) | (v < 0) | (v >= self._n)
         if bad.any():
@@ -151,18 +113,18 @@ class TaskGraph:
 
         a = np.minimum(u, v)
         b = np.maximum(u, v)
-        # Stable lexsort keeps duplicates in input order, so reduceat sums
-        # them left-to-right exactly like the dict accumulator in __init__.
-        order = np.lexsort((b, a))
+        # Sorting by weight inside each (min, max) group makes reduceat sum
+        # every duplicate group in one canonical order.
+        order = np.lexsort((w, b, a))
         a, b, wo = a[order], b[order], w[order]
         first = np.ones(len(a), dtype=bool)
         first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
         starts = np.flatnonzero(first)
         self._edge_u = a[starts]
         self._edge_v = b[starts]
-        self._edge_w = np.add.reduceat(wo, starts)
+        self._edge_w = (np.add.reduceat(wo, starts) if len(starts)
+                        else np.empty(0, dtype=np.float64))
         self._finish_edges()
-        return self
 
     def _finish_edges(self) -> None:
         """Freeze the canonical edge arrays and derive the CSR adjacency."""
@@ -381,16 +343,19 @@ class TaskGraph:
         ids = [self._check_task(t) for t in tasks]
         if len(set(ids)) != len(ids):
             raise TaskGraphError("induced() requires distinct task ids")
-        local = {t: i for i, t in enumerate(ids)}
-        edges = []
-        for a, b, w in zip(self._edge_u.tolist(), self._edge_v.tolist(),
-                           self._edge_w.tolist()):
-            ia, ib = local.get(a), local.get(b)
-            if ia is not None and ib is not None:
-                edges.append((ia, ib, w))
-        sub = TaskGraph(len(ids), edges, self._vertex_weights[np.asarray(ids)])
+        ids = np.asarray(ids, dtype=np.int64)
+        local = np.full(self._n, -1, dtype=np.int64)
+        local[ids] = np.arange(len(ids))
+        la, lb = local[self._edge_u], local[self._edge_v]
+        keep = (la >= 0) & (lb >= 0)
+        # A canonical edge list has no duplicate pairs, so no merge order
+        # is involved in the rebuild.
+        sub = TaskGraph.from_arrays(
+            len(ids), la[keep], lb[keep], self._edge_w[keep],
+            self._vertex_weights[ids],
+        )
         if self._coords is not None:
-            sub.attach_coords(self._coords[np.asarray(ids)])
+            sub.attach_coords(self._coords[ids])
         return sub
 
     def relabel(self, permutation: Sequence[int]) -> "TaskGraph":
@@ -400,11 +365,9 @@ class TaskGraph:
             raise TaskGraphError("relabel requires a permutation of 0..n-1")
         new_vw = np.empty_like(self._vertex_weights)
         new_vw[perm] = self._vertex_weights
-        edges = [
-            (int(perm[a]), int(perm[b]), float(w))
-            for a, b, w in zip(self._edge_u, self._edge_v, self._edge_w)
-        ]
-        out = TaskGraph(self._n, edges, new_vw)
+        out = TaskGraph.from_arrays(
+            self._n, perm[self._edge_u], perm[self._edge_v], self._edge_w, new_vw
+        )
         if self._coords is not None:
             new_coords = np.empty_like(self._coords)
             new_coords[perm] = self._coords

@@ -50,20 +50,24 @@ def mesh_pattern(
     shape = tuple(int(s) for s in shape)
     if message_bytes <= 0:
         raise TaskGraphError(f"message_bytes must be positive, got {message_bytes}")
-    ids = np.arange(n).reshape(shape)
-    edges: list[tuple[int, int, float]] = []
-    w = 2.0 * float(message_bytes)
-    for axis in range(len(shape)):
-        a = ids.take(range(shape[axis] - 1), axis=axis).ravel()
-        b = ids.take(range(1, shape[axis]), axis=axis).ravel()
-        edges.extend((int(x), int(y), w) for x, y in zip(a, b))
-        if periodic and shape[axis] > 2:
-            first = ids.take([0], axis=axis).ravel()
-            last = ids.take([shape[axis] - 1], axis=axis).ravel()
-            edges.extend((int(x), int(y), w) for x, y in zip(last, first))
+    ids = np.arange(n, dtype=np.int64).reshape(shape)
+    us: list[np.ndarray] = []
+    vs: list[np.ndarray] = []
+    for axis, side in enumerate(shape):
+        # Each task links to its successor along the axis; with ``periodic``
+        # the last slab also links back to the first (a side of 2 already
+        # has that pair, so it gets no second wrap edge).
+        us.append(ids.take(range(side - 1), axis=axis).ravel())
+        vs.append(ids.take(range(1, side), axis=axis).ravel())
+        if periodic and side > 2:
+            us.append(ids.take([side - 1], axis=axis).ravel())
+            vs.append(ids.take([0], axis=axis).ravel())
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
+    w = np.full(len(u), 2.0 * float(message_bytes))
     loads = np.full(n, float(compute_load))
     coords = np.stack(np.unravel_index(np.arange(n), shape), axis=1)
-    return TaskGraph(n, edges, loads).attach_coords(coords)
+    return TaskGraph.from_arrays(n, u, v, w, loads).attach_coords(coords)
 
 
 def mesh2d_pattern(rows: int, cols: int, message_bytes: float = 1.0, **kw) -> TaskGraph:

@@ -85,19 +85,22 @@ class GridTopology(Topology):
         return delta.sum(axis=1, dtype=np.int32)
 
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
-        # One broadcasted shot per row chunk instead of p distance_row calls;
-        # chunking keeps the (chunk, p, ndim) delta tensor small on big tori.
-        p = self._num_nodes
-        mat = np.empty((p, p), dtype=dtype)
-        shape = np.asarray(self._shape, dtype=np.int32)
-        chunk = max(1, (1 << 22) // max(p * self.ndim, 1))
-        for lo in range(0, p, chunk):
-            hi = min(lo + chunk, p)
-            delta = np.abs(self._coords[lo:hi, None, :] - self._coords[None, :, :])
+        # A distance is a sum of per-axis terms, each depending on one
+        # coordinate pair, and node ids are C-order ravelings: viewed with
+        # shape (s_0..s_k, s_0..s_k) the matrix is a broadcast sum of the
+        # small per-axis (s_i, s_i) tables. Integer sums, so exact in any
+        # dtype this is cached in.
+        k = self.ndim
+        mat = np.zeros(self._shape * 2, dtype=dtype)
+        for axis, side in enumerate(self._shape):
+            idx = np.arange(side)
+            delta = np.abs(idx[:, None] - idx[None, :])
             if self.wraparound:
-                delta = np.minimum(delta, shape - delta)
-            mat[lo:hi] = delta.sum(axis=2, dtype=np.int32)
-        return mat
+                delta = np.minimum(delta, side - delta)
+            view = [1] * (2 * k)
+            view[axis] = view[k + axis] = side
+            mat += delta.reshape(view).astype(dtype)
+        return mat.reshape(self._num_nodes, self._num_nodes)
 
     def diameter(self) -> int:
         # Closed form: sum over axes of the per-axis maximum displacement.

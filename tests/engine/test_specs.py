@@ -22,7 +22,7 @@ ROUND_TRIP_SPECS = [
     "topocentlb",
     "refine:passes=3",
     "refine:base=topocentlb;passes=3",
-    "refine:base=topolb,order=3;passes=2;block=32",
+    "refine:base=topolb,order=3;passes=2;kernel=incremental",
     "anneal:steps=500",
     "genetic:population=10;generations=5",
     "bokhari:jumps=2",
@@ -70,6 +70,16 @@ def test_unknown_kind_mentions_strategies_and_kinds():
 def test_unknown_option_key():
     with pytest.raises(SpecError, match="unknown option"):
         parse_mapper_spec("topolb:wat=1")
+
+
+def test_refine_block_option_is_gone():
+    """The block-sweep refine kernel and its ``block`` size are deleted; a
+    spec naming it fails loudly instead of being silently ignored."""
+    for spec in ("refine:block=32", "refine:block=64",
+                 "refine:base=topolb,order=3;passes=2;block=32",
+                 "pipeline:inner=refine:block=8"):
+        with pytest.raises(SpecError, match="unknown option 'block'"):
+            parse_mapper_spec(spec)
 
 
 def test_bad_option_value():

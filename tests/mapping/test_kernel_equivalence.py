@@ -1,11 +1,12 @@
-"""Vectorized-vs-reference kernel equivalence.
+"""Production-vs-reference kernel equivalence.
 
-The vectorized kernels are only allowed to exist because they are *proven*
+The production kernels (TopoLB ``vectorized``, RefineTopoLB ``incremental``
+compiled and in NumPy) are only allowed to exist because they are *proven*
 interchangeable with the scalar reference paths: every test here pins the
 two to **bit-identical assignments** (not merely equal hop-bytes) across
-estimator orders, selection rules, fest dtypes, and instance shapes —
-including symmetric instances whose massive score ties are where a batched
-reimplementation would first diverge.
+estimator orders, selection rules, fest dtypes, instance shapes and
+degraded machines — including symmetric instances whose massive score ties
+are where a batched reimplementation would first diverge.
 """
 
 from __future__ import annotations
@@ -79,18 +80,71 @@ class TestTopoLBEquivalence:
             np.testing.assert_array_equal(vec.assignment, ref.assignment)
 
 
+def _refine_instances():
+    """(label, graph, topology) grid for the refine oracle: the shared shape
+    grid plus a swap-heavy geometric instance and a degraded machine, where
+    the auto-derived allowed mask is in force."""
+    from repro.faults import DegradedTopology, FaultSet
+
+    deg = DegradedTopology(
+        Torus((4, 4)), FaultSet(dead_nodes=[5, 10], dead_links=[(0, 1)])
+    )
+    return _instances() + [
+        ("mesh6x8-geometric", geometric_taskgraph(48, radius=0.3, seed=3),
+         Mesh((6, 8))),
+        ("degraded-torus4x4-random",
+         random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=6), deg),
+    ]
+
+
 class TestRefineEquivalence:
+    """The production refine sweep (compiled, and its NumPy fallback) lands
+    bit-identically on the reference kernel from every start: a random
+    placement (many swaps per sweep) and TopoLB placements at every
+    estimator order and fest dtype (few, late swaps)."""
+
+    @pytest.mark.parametrize("graph,topo", [
+        pytest.param(graph, topo, id=label)
+        for label, graph, topo in _refine_instances()
+    ])
+    @pytest.mark.parametrize("path", ("native", "numpy"))
+    def test_production_matches_reference(self, graph, topo, path,
+                                          monkeypatch):
+        from repro.mapping import _native
+
+        if path == "numpy":
+            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        elif _native.load() is None:
+            pytest.skip("compiled kernels unavailable")
+        starts = [("random", RandomMapper(seed=11).map(graph, topo))] + [
+            (f"topolb order={order} dtype={np.dtype(dtype)}",
+             TopoLB(order=order, dtype=dtype).map(graph, topo))
+            for order in ORDERS for dtype in DTYPES
+        ]
+        for start_label, start in starts:
+            ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
+            got = RefineTopoLB(kernel="incremental", seed=1).refine(start)
+            np.testing.assert_array_equal(
+                got.assignment, ref.assignment,
+                err_msg=f"from {start_label} ({path})",
+            )
+
     @pytest.mark.parametrize("block_size", (1, 7, 64, 512))
-    def test_block_sweep_matches_reference(self, block_size):
+    def test_block_sweep_matches_reference(self, block_size, monkeypatch):
+        """The NumPy sweep brings cached rows current in blocks of
+        ``_CHUNK``; block size must never change the result."""
+        from repro.mapping import refine
+
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        monkeypatch.setattr(refine, "_CHUNK", block_size)
         graph = geometric_taskgraph(48, radius=0.3, seed=3)
         topo = Mesh((6, 8))
         # A random start leaves plenty of improving swaps, so the block
-        # sweep's discard-and-restart machinery is exercised hard.
+        # sweep's discard-and-refetch machinery is exercised hard.
         start = RandomMapper(seed=11).map(graph, topo)
         ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
-        vec = RefineTopoLB(kernel="vectorized", seed=1,
-                           block_size=block_size).refine(start)
-        np.testing.assert_array_equal(vec.assignment, ref.assignment)
+        got = RefineTopoLB(kernel="incremental", seed=1).refine(start)
+        np.testing.assert_array_equal(got.assignment, ref.assignment)
 
     def test_incremental_matches_reference(self):
         graph = geometric_taskgraph(48, radius=0.3, seed=3)
@@ -180,16 +234,17 @@ class TestMaskedEquivalence:
         vec = TopoLB(kernel="vectorized").map(graph, deg)
         np.testing.assert_array_equal(vec.assignment, ref.assignment)
 
-    @pytest.mark.parametrize("block_size", (1, 7, 64))
-    def test_refine_masked_bit_identical(self, block_size):
+    @pytest.mark.parametrize("seed", (1, 7, 64))
+    def test_refine_masked_bit_identical(self, seed):
+        """Every sweep order (the refine seed) agrees with the reference
+        and keeps every task on a healthy processor."""
         deg = self._degraded()
         graph = random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=6)
         start = RandomMapper(seed=11).map(graph, deg)
-        ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
-        vec = RefineTopoLB(kernel="vectorized", seed=1,
-                           block_size=block_size).refine(start)
-        np.testing.assert_array_equal(vec.assignment, ref.assignment)
-        assert deg.allowed_mask()[vec.assignment].all()
+        ref = RefineTopoLB(kernel="reference", seed=seed).refine(start)
+        got = RefineTopoLB(seed=seed).refine(start)
+        np.testing.assert_array_equal(got.assignment, ref.assignment)
+        assert deg.allowed_mask()[got.assignment].all()
 
     def test_refine_masked_incremental(self, monkeypatch):
         deg = self._degraded()
@@ -227,6 +282,16 @@ class TestKernelSelection:
         finally:
             set_default_kernel(previous)
         assert TopoLB().kernel == "vectorized"
+
+    def test_refine_has_two_paths(self):
+        """RefineTopoLB keeps ``reference`` as the oracle; every other
+        kernel name, the process default included, is the incremental
+        sweep."""
+        assert RefineTopoLB(kernel="reference").kernel == "reference"
+        for name in ("vectorized", "incremental", None):
+            assert RefineTopoLB(kernel=name).kernel == "incremental"
+        with pytest.raises(TypeError):
+            RefineTopoLB(block_size=64)
 
     def test_set_default_kernel_validates(self):
         with pytest.raises(MappingError):

@@ -97,18 +97,15 @@ class TestRefineTopoLB:
 
     @given(
         seed=st.integers(0, 10_000),
-        kernel=st.sampled_from(["vectorized", "reference"]),
-        block_size=st.sampled_from([1, 3, 16, 64]),
+        kernel=st.sampled_from(["vectorized", "reference", "incremental"]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_property_never_worse_any_kernel(self, seed, kernel, block_size):
-        """Monotone improvement holds for both kernels at any block size."""
+    def test_property_never_worse_any_kernel(self, seed, kernel):
+        """Monotone improvement holds under every kernel name."""
         topo = Mesh((4, 3))
         g = random_taskgraph(12, edge_prob=0.35, seed=seed % 97)
         before = RandomMapper(seed=seed).map(g, topo)
-        after = RefineTopoLB(
-            max_sweeps=3, seed=seed, kernel=kernel, block_size=block_size
-        ).refine(before)
+        after = RefineTopoLB(max_sweeps=3, seed=seed, kernel=kernel).refine(before)
         assert after.hop_bytes <= before.hop_bytes + 1e-9
         assert after.is_bijection()
 

@@ -3,12 +3,18 @@ vectorized fast paths behind the multilevel mapper."""
 
 from __future__ import annotations
 
+import hashlib
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mapping import _native
 from repro.partition.coarsening import (
+    _matching_loop,
     coarsen_levels,
     coarsen_step,
     coarsen_toward,
@@ -17,7 +23,12 @@ from repro.partition.coarsening import (
     limit_pairs,
     pair_unmatched,
 )
-from repro.taskgraph import TaskGraph, mesh2d_pattern, random_taskgraph
+from repro.taskgraph import (
+    TaskGraph,
+    mesh2d_pattern,
+    mesh3d_pattern,
+    random_taskgraph,
+)
 
 
 def _star(n: int) -> TaskGraph:
@@ -131,8 +142,8 @@ class TestFromArrays:
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_to_dict_accumulation(self, seed):
-        """from_arrays must reproduce the dict-accumulation constructor
-        exactly — including duplicate merging in either orientation."""
+        """from_arrays must reproduce the edge-tuple constructor exactly —
+        including duplicate merging in either orientation."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         m = int(rng.integers(0, 30))
@@ -160,3 +171,73 @@ class TestFromArrays:
             TaskGraph.from_arrays(3, [0], [5], [1.0])  # out of bounds
         with pytest.raises(TaskGraphError):
             TaskGraph.from_arrays(3, [0], [1], [-1.0])  # negative weight
+
+
+@st.composite
+def matching_graphs(draw):
+    """Graphs that stress the matching scan's tie and skip rules: weights
+    from a tiny set (ties everywhere, zeros included), vertices with no
+    edges at all, and stars (every leaf competes for one hub)."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()) and n > 1:
+        hub = draw(st.integers(0, n - 1))
+        leaves = [t for t in range(n) if t != hub]
+        weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]),
+                                min_size=len(leaves), max_size=len(leaves)))
+        edges = [(hub, leaf, w) for leaf, w in zip(leaves, weights)]
+    else:
+        # Edges only among the first ``span`` vertices: the rest are
+        # isolated.
+        span = draw(st.integers(1, n))
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, span - 1), st.integers(0, span - 1))
+            .filter(lambda ab: ab[0] != ab[1]),
+            max_size=3 * span,
+        ))
+        weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                min_size=len(pairs), max_size=len(pairs)))
+        edges = [(a, b, w) for (a, b), w in zip(pairs, weights)]
+    return TaskGraph(n, edges)
+
+
+def _fallback_matching(graph, seed):
+    with mock.patch.dict(os.environ, {"REPRO_NO_NATIVE": "1"}):
+        return heavy_edge_matching(graph, seed=seed)
+
+
+class TestNativeMatching:
+    """The compiled heavy-edge matching and the Python loop are the same
+    scan twice; they must agree bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_native(self):
+        if _native.load() is None:
+            pytest.skip("compiled kernels unavailable (no C compiler, or "
+                        "REPRO_NO_NATIVE is set)")
+
+    @given(graph=matching_graphs(), seed=st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_native_equals_python_loop(self, graph, seed):
+        native = heavy_edge_matching(graph, seed=seed)
+        assert native.dtype == np.int64
+        np.testing.assert_array_equal(native, _fallback_matching(graph, seed))
+        # The C entry point on its own, against the loop on the same order.
+        perm = np.random.default_rng(seed).permutation(graph.num_tasks)
+        np.testing.assert_array_equal(
+            _native.load().heavy_edge_matching(*graph.csr_arrays(), perm),
+            _matching_loop(graph, perm),
+        )
+
+
+def test_stencil_first_level_unchanged():
+    """First task-coarsening level of the 110,592-task multilevel request
+    (mesh3d 48^3 toward 4096 processors): the coarse graph and vertex map
+    pinned from the pure-Python matching, reproduced by whichever matching
+    path this process runs."""
+    graph = mesh3d_pattern(48, 48, 48, message_bytes=1024)
+    coarse, fine2coarse = coarsen_toward(graph, 4096, seed=0)
+    assert coarse.num_tasks == 55296
+    assert coarse.content_digest() == (
+        "2d23b61e3062fcda22932e7cfcc70b9ae718b0c46f8f0b85a2668ad8a1f2ccb6")
+    assert hashlib.sha256(fine2coarse.astype("<i8").tobytes()).hexdigest() == (
+        "76cbe453eedd7ce0ae7c9ea400903046c57cbde8961347c5e609b27b2eaec3b0")

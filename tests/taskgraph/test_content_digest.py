@@ -6,12 +6,13 @@ matter how the graph was built, any structural mutation must change the
 hash, and the value must be identical across processes.
 """
 
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.taskgraph import TaskGraph, mesh2d_pattern
@@ -43,7 +44,15 @@ def task_graphs(draw):
     return TaskGraph(n, edges, vw), edges, vw
 
 
+#: Four parallel (0, 1) edges whose float64 sum depends on the order it is
+#: taken in: summing them in arrival order made the forward and reversed
+#: inputs merge to different weights, hence different digests.
+ORDER_SENSITIVE_WEIGHTS = [1.0, 131071.00001, 1.32777, 0.0]
+ORDER_SENSITIVE_EDGES = [(0, 1, w) for w in ORDER_SENSITIVE_WEIGHTS]
+
+
 @given(task_graphs())
+@example((TaskGraph(2, ORDER_SENSITIVE_EDGES), ORDER_SENSITIVE_EDGES, None))
 @settings(max_examples=60, deadline=None)
 def test_digest_is_deterministic_and_build_path_independent(data):
     graph, edges, vw = data
@@ -102,6 +111,23 @@ def test_digest_changes_on_any_mutation(data):
         assert TaskGraph.from_arrays(
             n, u[1:], v[1:], w[1:]
         ).content_digest() != digest
+
+
+def test_duplicate_merge_is_input_order_independent():
+    """Every arrival order of the duplicate group, through either
+    constructor and in either orientation, merges to the same weight."""
+    digests, merged = set(), set()
+    for weights in itertools.permutations(ORDER_SENSITIVE_WEIGHTS):
+        graphs = (
+            TaskGraph(2, [(0, 1, w) for w in weights]),
+            TaskGraph(2, [(1, 0, w) for w in weights]),
+            TaskGraph.from_arrays(2, [1] * 4, [0] * 4, list(weights)),
+        )
+        for graph in graphs:
+            digests.add(graph.content_digest())
+            merged.add(float(graph.edge_arrays()[2][0]))
+    assert len(digests) == 1
+    assert len(merged) == 1
 
 
 def test_digest_changes_when_edge_moves_endpoint():

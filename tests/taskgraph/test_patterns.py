@@ -2,11 +2,40 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import TaskGraphError
-from repro.taskgraph import all_to_all_pattern, mesh2d_pattern, mesh3d_pattern, ring_pattern
+from repro.taskgraph import (
+    TaskGraph,
+    all_to_all_pattern,
+    mesh2d_pattern,
+    mesh3d_pattern,
+    ring_pattern,
+)
 from repro.taskgraph.patterns import mesh_pattern
+
+
+def _mesh_from_tuples(shape, message_bytes=1.0, periodic=False,
+                      compute_load=1.0):
+    """The tuple-list build ``mesh_pattern`` used before it went to arrays:
+    one Python ``(a, b, w)`` triple per edge through ``TaskGraph.__init__``.
+    Kept here only as the oracle for the array build."""
+    n = int(np.prod(shape))
+    ids = np.arange(n).reshape(shape)
+    edges = []
+    w = 2.0 * float(message_bytes)
+    for axis in range(len(shape)):
+        a = ids.take(range(shape[axis] - 1), axis=axis).ravel()
+        b = ids.take(range(1, shape[axis]), axis=axis).ravel()
+        edges.extend((int(x), int(y), w) for x, y in zip(a, b))
+        if periodic and shape[axis] > 2:
+            first = ids.take([0], axis=axis).ravel()
+            last = ids.take([shape[axis] - 1], axis=axis).ravel()
+            edges.extend((int(x), int(y), w) for x, y in zip(last, first))
+    coords = np.stack(np.unravel_index(np.arange(n), shape), axis=1)
+    return TaskGraph(n, edges, np.full(n, float(compute_load))).attach_coords(
+        coords)
 
 
 class TestMeshPattern:
@@ -63,6 +92,41 @@ class TestMeshPattern:
         assert g.has_edge(0, 4)
         assert not g.has_edge(0, 5)
         assert not g.has_edge(3, 4)  # row wrap must not exist
+
+
+class TestMeshArrayBuild:
+    """``mesh_pattern`` builds its edge arrays with NumPy; the result must be
+    the graph the per-edge tuple build gave, down to the digest."""
+
+    @pytest.mark.parametrize("shape", [
+        (1,), (2,), (7,), (1, 5), (3, 4), (2, 3, 4), (4, 1, 3),
+        (2, 2, 3, 2), (3, 3, 3, 3),
+    ], ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("periodic", (False, True),
+                             ids=("open", "periodic"))
+    def test_matches_tuple_build(self, shape, periodic):
+        got = mesh_pattern(shape, message_bytes=48.0, periodic=periodic,
+                           compute_load=1.5)
+        want = _mesh_from_tuples(shape, message_bytes=48.0, periodic=periodic,
+                                 compute_load=1.5)
+        assert got.content_digest() == want.content_digest()
+        for mine, theirs in zip(got.csr_arrays(), want.csr_arrays()):
+            np.testing.assert_array_equal(mine, theirs)
+            assert mine.dtype == theirs.dtype
+        np.testing.assert_array_equal(got.coords, want.coords)
+        np.testing.assert_array_equal(got.vertex_weights, want.vertex_weights)
+
+    @pytest.mark.parametrize("side", (2, 3))
+    def test_periodic_small_sides(self, side):
+        """Side 2 is the no-wrap guard (the wrap pair is already the mesh
+        edge); side 3 is the smallest side that gains a wrap edge."""
+        for shape in ((side,), (side, side), (side, 4, side)):
+            got = mesh_pattern(shape, periodic=True)
+            want = _mesh_from_tuples(shape, periodic=True)
+            assert got.content_digest() == want.content_digest()
+        ring = mesh_pattern((side,), periodic=True)
+        assert ring.num_edges == (1 if side == 2 else 3)
+        assert ring.edge_arrays()[2].tolist() == [2.0] * ring.num_edges
 
 
 class TestRingPattern:

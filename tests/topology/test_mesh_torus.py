@@ -110,6 +110,23 @@ class TestTorusDistances:
         assert (torus_mat <= mesh_mat).all()
 
 
+class TestDistanceMatrixBuild:
+    """The broadcast-built matrix equals the per-node closed-form rows."""
+
+    @pytest.mark.parametrize("cls", (Mesh, Torus))
+    @pytest.mark.parametrize("shape", [
+        (1,), (2,), (7,), (3, 1), (2, 5), (4, 4), (3, 2, 4), (2, 3, 2, 3),
+    ], ids=lambda s: "x".join(map(str, s)))
+    def test_matches_distance_rows(self, cls, shape):
+        topo = cls(shape)
+        rows = np.stack([topo.distance_row(v) for v in range(topo.num_nodes)])
+        for dtype in (np.int32, np.float32, np.float64):
+            mat = topo._build_distance_matrix(np.dtype(dtype))
+            assert mat.dtype == dtype
+            assert mat.shape == (topo.num_nodes, topo.num_nodes)
+            np.testing.assert_array_equal(mat, rows)
+
+
 class TestGridNeighbors:
     def test_mesh_corner_degree(self):
         mesh = Mesh((4, 4))
