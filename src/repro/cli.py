@@ -159,10 +159,7 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
     """Load inputs, run the strategy, optionally replay/profile/write."""
     from repro import obs
     from repro.engine import canonical_command, canonical_mapper_spec
-    from repro.mapping.estimation import (
-        average_distance_vector,
-        centered_distance_matrix,
-    )
+    from repro.mapping.estimation import average_distance_vector
     from repro.mapping.kernels import get_default_kernel, set_default_kernel
     from repro.mapping.metrics import _MATRIX_LIMIT
     from repro.runtime.lbdb import LBDatabase
@@ -190,7 +187,6 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
             # only O(p^2) allocation in the whole run — skip it.
             if topology.num_nodes <= _MATRIX_LIMIT:
                 average_distance_vector(topology)
-                centered_distance_matrix(topology)
 
         with obs.timer("cli.map"):
             report, mapping = replay_strategy(database, topology, strategy, seed=seed)

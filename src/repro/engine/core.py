@@ -300,6 +300,8 @@ class MappingEngine:
 
         # The kernel knob binds at mapper *construction* (resolve_kernel),
         # so spec-built mappers are constructed inside the override window.
+        # The override is per-thread (a ContextVar): concurrent requests in
+        # one process never see each other's.
         prev_kernel = (
             set_default_kernel(request.kernel)
             if request.kernel is not None

@@ -1,19 +1,20 @@
-"""On-demand compiled kernels for the refine sweep and heavy-edge matching.
+"""On-demand compiled kernels for TopoLB, the refine sweep and matching.
 
-``repro.mapping.refine_kernel.c`` holds scalar C implementations of one
-RefineTopoLB sweep with the incremental delta structure and of the
-multilevel coarsener's heavy-edge matching scan. This module compiles it
-with the system C compiler (``cc``/``gcc``/``clang``) the first time it is
-needed, caches the shared object under the system temp directory keyed by a
-hash of the source and build flags, and loads it through :mod:`ctypes` — no
-third-party build dependency.
+``repro.mapping.refine_kernel.c`` holds scalar C implementations of
+TopoLB's placement cycle, of one RefineTopoLB sweep with the incremental
+delta structure and of the multilevel coarsener's heavy-edge matching scan.
+This module compiles it with the system C compiler (``cc``/``gcc``/
+``clang``) the first time it is needed, caches the shared object under the
+system temp directory keyed by a hash of the source and build flags, and
+loads it through :mod:`ctypes` — no third-party build dependency.
 
-The compiled path is strictly optional: :class:`~repro.mapping.refine.
-RefineTopoLB` and :func:`~repro.partition.coarsening.heavy_edge_matching`
-fall back to their pure-Python/NumPy loops when no toolchain is available
-(or when ``REPRO_NO_NATIVE`` is set, which the test suite uses to pin both
-paths). ``-ffp-contract=off`` keeps the C arithmetic bitwise identical to
-the NumPy reference kernel — no fused multiply-adds.
+The compiled path is strictly optional: when no toolchain is available (or
+when ``REPRO_NO_NATIVE`` is set, which the test suite uses to pin both
+paths) :class:`~repro.mapping.topolb.TopoLB` runs its reference cycle body,
+and :class:`~repro.mapping.refine.RefineTopoLB` and
+:func:`~repro.partition.coarsening.heavy_edge_matching` their
+pure-Python/NumPy loops. ``-ffp-contract=off`` keeps the C arithmetic
+bitwise identical to the NumPy reference kernels — no fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["load", "available"]
+__all__ = ["load", "available", "TopoLBState"]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "refine_kernel.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -36,6 +37,43 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _lock = threading.Lock()
 _UNSET = object()
 _cached: object = _UNSET
+
+
+class TopoLBState(ctypes.Structure):
+    """Mirror of ``topolb_state`` in ``refine_kernel.c``: sizes, options and
+    the addresses of the arrays TopoLB's Python loop owns."""
+
+    _ARRAYS = ("fest", "dist", "avg_all", "avg_free", "delta", "unplaced_comm",
+               "penalty", "avail_f", "f_sum", "f_min", "res_vals", "volumes",
+               "indptr", "indices", "weights", "f_argmin", "res_ids", "res_pos",
+               "assignment", "dirty", "avail", "unassigned", "mark")
+    #: Element types the C side reads; every other array holds the fest dtype.
+    _TYPES = {"volumes": np.float64, "weights": np.float64,
+              "indptr": np.int64, "indices": np.int64, "f_argmin": np.int64,
+              "res_ids": np.int64, "res_pos": np.int64, "assignment": np.int64,
+              "dirty": np.int64, "avail": np.uint8, "unassigned": np.uint8,
+              "mark": np.uint8}
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in
+         ("n", "p", "reserve", "order", "selection", "avail_count")]
+        + [("huge", ctypes.c_double)]
+        + [(name, ctypes.c_void_p) for name in _ARRAYS]
+        + [("stats", ctypes.c_int64 * 5)]
+    )
+
+    @classmethod
+    def bind(cls, dtype, arrays: dict, **scalars) -> "TopoLBState":
+        """Check every array's element type and contiguity, then store its
+        address; the caller keeps ``arrays`` alive while C uses them."""
+        if set(arrays) != set(cls._ARRAYS):
+            raise ValueError(f"TopoLB state needs arrays {cls._ARRAYS}")
+        for name, arr in arrays.items():
+            want = np.dtype(cls._TYPES.get(name, dtype))
+            if arr.dtype != want or not arr.flags.c_contiguous:
+                raise ValueError(f"TopoLB state array {name!r} must be a "
+                                 f"C-contiguous {want} array, got {arr.dtype}")
+        return cls(**scalars,
+                   **{name: arr.ctypes.data for name, arr in arrays.items()})
 
 
 class NativeKernels:
@@ -72,6 +110,20 @@ class NativeKernels:
             arr(np.int64, flags="C_CONTIGUOUS"),    # match (n), written
         ]
         self._match = match
+        self._topolb = {}
+        for dtype, sfx in ((np.float32, "f32"), (np.float64, "f64")):
+            init = getattr(lib, f"topolb_init_{sfx}")
+            init.restype = None
+            cycle = getattr(lib, f"topolb_cycle_{sfx}")
+            cycle.restype = i64
+            for fn in (init, cycle):
+                fn.argtypes = [ctypes.POINTER(TopoLBState)]
+            self._topolb[np.dtype(dtype)] = (init, cycle)
+
+    def topolb(self, dtype) -> tuple:
+        """``(init, cycle)`` TopoLB entry points for a float32/float64 fest
+        table; each takes ``ctypes.byref`` of a :class:`TopoLBState`."""
+        return self._topolb[np.dtype(dtype)]
 
     def sweep(self, cost, dist, assign, indptr, indices, weights, perm,
               best_b, best_val, valid, stats) -> bool:

@@ -1,8 +1,8 @@
 """MappingContext — shared per-(graph, topology) state for mappers and metrics.
 
 Every mapper used to re-derive the same inputs on entry: CSR edge arrays from
-the task graph, the topology distance matrix (per dtype), the average /
-centered distance tables behind the estimation functions, and — on degraded
+the task graph, the topology distance matrix (per dtype), the average
+distance vectors behind the estimation functions, and — on degraded
 machines — the allowed-processor mask. A :class:`MappingContext` computes each
 of these once per (graph, topology) pair and hands out the *same* arrays the
 underlying caches would have produced, so threading a context through a
@@ -92,14 +92,6 @@ class MappingContext:
             vec = average_distance_vector(self._topology, subset)
             self._avg_distance[key] = vec
         return vec
-
-    def centered_distance_matrix(
-        self, dtype: np.dtype | type = np.float64
-    ) -> np.ndarray:
-        """Doubly-centered distance matrix (third-order estimator input)."""
-        from repro.mapping.estimation import centered_distance_matrix
-
-        return centered_distance_matrix(self._topology, dtype)
 
     def allowed(self) -> np.ndarray | None:
         """The degraded-machine healthy mask, or ``None`` when pristine.

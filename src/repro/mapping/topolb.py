@@ -18,23 +18,35 @@ values is maintained incrementally —
   ``O(p^2)`` per cycle, ``O(p^3)`` overall (why the paper ships 2nd order).
 
 Selection state (``FMin``, ``FAvg`` per row) is maintained across cycles;
-when the consumed processor was some row's argmin, only those rows are
-re-reduced (lazy repair) instead of rescanning the whole table.
+when the consumed processor was some row's argmin, the row steps to the next
+entry of its cached candidate reserve, and only an exhausted reserve (or a
+row whose values changed) is re-reduced.
 
 Two kernels implement the cycle body (see :mod:`repro.mapping.kernels`):
-``"vectorized"`` (default) batches the neighbor-row updates and the
-stale-argmin repair across whole index arrays per NumPy call;
-``"reference"`` keeps the original scalar loops. Both produce bit-identical
-assignments — the equivalence suite enforces it — so the reference path
-doubles as the executable specification of the fast one.
+
+* the **native** body — the reference cycle compiled to C
+  (``topolb_cycle_*`` in ``refine_kernel.c``, loaded by
+  :mod:`repro.mapping._native`), one call per cycle over arrays bound once;
+  the kernel names ``"vectorized"`` (default) and ``"incremental"`` run it;
+* ``"reference"`` — the original scalar loops, the executable specification
+  and test oracle.
+
+Both produce bit-identical assignments (the equivalence suite enforces it).
+When no C compiler is available, ``REPRO_NO_NATIVE`` is set, or the fest
+dtype is neither float32 nor float64, every kernel name runs the reference
+body.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
 from repro import obs
 from repro.exceptions import MappingError
+from repro.mapping import _native
 from repro.mapping.base import Mapper, Mapping, resolve_allowed
 from repro.mapping.context import MappingContext, context_for
 from repro.mapping.estimation import EstimatorOrder
@@ -45,8 +57,16 @@ from repro.topology.base import Topology
 __all__ = ["TopoLB"]
 
 
-#: Valid task-selection rules (see TopoLB docstring).
+#: Valid task-selection rules (see TopoLB docstring); the position is the
+#: rule's code in the compiled cycle body.
 _SELECTION_RULES = ("gain", "max_cost", "volume")
+
+#: Profiler counters, in the order of the compiled body's ``stats`` array.
+_COUNTERS = ("topolb.cycles", "topolb.reserve_hits", "topolb.reserve_exhaustions",
+             "topolb.rows_rebuilt", "topolb.neighbor_updates")
+
+#: fest dtypes the compiled body is built for; others run the reference.
+_NATIVE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class TopoLB(Mapper):
@@ -71,9 +91,10 @@ class TopoLB(Mapper):
         * ``"volume"``: maximum total communication volume ("chattiest
           first", selection decoupled from the topology).
     kernel:
-        ``"vectorized"`` (batched NumPy cycle body, the default),
-        ``"reference"`` (the original scalar loops), or ``None`` for the
-        process-wide default (:func:`repro.mapping.kernels.get_default_kernel`).
+        ``"vectorized"`` or ``"incremental"`` (the compiled cycle body, with
+        the reference as its fallback), ``"reference"`` (the original scalar
+        loops), or ``None`` for the default
+        (:func:`repro.mapping.kernels.get_default_kernel`).
     """
 
     strategy_name = "TopoLB"
@@ -108,7 +129,8 @@ class TopoLB(Mapper):
 
     @property
     def kernel(self) -> str:
-        """The resolved kernel name ("vectorized" or "reference")."""
+        """The resolved kernel name; every name but "reference" runs the
+        compiled body when it is available."""
         return self._kernel
 
     def map(
@@ -133,7 +155,11 @@ class TopoLB(Mapper):
         n = self._check_sizes(graph, topology, allowed)
         if ctx is None:
             ctx = context_for(graph, topology)
-        run = self._run_reference if self._kernel == "reference" else self._run_vectorized
+        native = None
+        if self._kernel != "reference" and self._dtype in _NATIVE_DTYPES:
+            native = _native.load()
+        run = (self._run_reference if native is None
+               else functools.partial(self._run_native, native=native))
         prof = obs.active()
         if prof is None:
             assignment = run(graph, topology, n, allowed=allowed, ctx=ctx)
@@ -198,7 +224,8 @@ class TopoLB(Mapper):
         ctx: MappingContext | None = None,
     ) -> np.ndarray:
         """The original scalar cycle body — kept verbatim as the executable
-        specification the vectorized kernel is tested against."""
+        specification the native body is tested against, and the fallback
+        when no compiled body is available."""
         (dist, indptr, indices, weights, unplaced_comm,
          avg_all, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
         order = self._order
@@ -335,14 +362,13 @@ class TopoLB(Mapper):
                 rows_rebuilt += len(dirty)
 
         if prof is not None:
-            prof.count("topolb.cycles", cycles)
-            prof.count("topolb.reserve_hits", reserve_hits)
-            prof.count("topolb.reserve_exhaustions", reserve_exhaustions)
-            prof.count("topolb.rows_rebuilt", rows_rebuilt)
-            prof.count("topolb.neighbor_updates", neighbor_updates)
+            for name, value in zip(_COUNTERS, (
+                    cycles, reserve_hits, reserve_exhaustions, rows_rebuilt,
+                    neighbor_updates)):
+                prof.count(name, value)
         return assignment
 
-    def _run_vectorized(
+    def _run_native(
         self,
         graph: TaskGraph,
         topology: Topology,
@@ -350,296 +376,79 @@ class TopoLB(Mapper):
         prof: obs.Profiler | None = None,
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
+        *,
+        native,
     ) -> np.ndarray:
-        """Batched cycle body — bit-identical assignments to the reference.
+        """The reference cycle body compiled: one C call per cycle
+        (``topolb_cycle_*`` in ``refine_kernel.c``) over arrays bound once.
 
-        Two structural changes over the reference, neither observable in the
-        output:
-
-        * **Lazy reserve.** The reference stable-sorts every dirty row each
-          cycle to refresh its cached candidate list, but a touched row only
-          ever *reads* that list on a later stale-argmin event — most sorts
-          are thrown away unread. Here a dirty row merely records its
-          rebuild epoch; ``f_min``/``f_argmin`` come from an O(free) argmin
-          (the head of the sorted list, without the sort). A stale event
-          then *replays* the walk the reference would have made: processors
-          are consumed one per cycle and never returned, so the consumption
-          log recovers any epoch's free set, and the walk's outcome is
-          decided by ranking the row's current free argmin against the
-          since-consumed candidates (see the inline proof). No candidate
-          list is ever materialized; per-row sorts disappear entirely.
-        * **Poisoned selection.** Assigned rows get sentinel scores
-          (``-inf``/``+inf``) instead of being masked out with ``np.where``
-          every cycle, and ``f_argmin`` is poisoned to ``-1`` so the stale
-          scan needs no ``unassigned &`` mask. Sentinels strictly lose every
-          argmax, so selection among unassigned rows is untouched.
-
-        All floating-point expressions keep the reference kernel's
-        elementwise evaluation order so tie-breaks cannot diverge.
+        Between calls only the dirty rows' free-column sums are refreshed
+        here, with the reference's own ``fest[dirty] @ avail`` expression
+        over the same sorted dirty set, so the BLAS rounding is shared too.
         """
-        if ctx is None:
-            ctx = context_for(graph, topology)
         (dist, indptr, indices, weights, unplaced_comm,
          avg_all, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
-        order = self._order
-        selection = self._selection
+        dtype = self._dtype
         p = topology.num_nodes
 
-        avail = np.ones(p, dtype=bool) if allowed is None else allowed.copy()
-        unassigned = np.ones(n, dtype=bool)
-        avail_count = int(avail.sum())
-        assignment = np.full(n, -1, dtype=np.int64)
-        # Float view of the availability mask, maintained in O(1) per cycle
-        # (the reference path re-casts the bool mask every cycle instead).
-        avail_f = avail.astype(self._dtype)
-
-        # f_sum feeds only the "gain" score; other selections never read it.
-        # Masked runs sum over the allowed columns only — the same free-set
-        # sums the reference kernel maintains.
-        track_sum = selection == "gain"
+        avail = (np.ones(p, dtype=np.uint8) if allowed is None
+                 else allowed.astype(np.uint8))
+        avail_f = avail.astype(dtype)
+        huge = np.finfo(dtype).max / 16
+        penalty = np.zeros(p, dtype=dtype)
+        if allowed is not None:
+            penalty[~allowed] = huge
+        track_sum = self._selection == "gain"
         if not track_sum:
-            f_sum = None
+            f_sum = np.zeros(n, dtype=dtype)  # never read
         elif allowed is None:
             f_sum = fest.sum(axis=1)
         else:
             f_sum = fest @ avail_f
-        # Sentinel written into f_min on assignment: +inf sends the gain
-        # score to -inf, -inf loses the max_cost argmax directly.
-        f_min_poison = -np.inf if selection == "max_cost" else np.inf
-        if selection == "volume":
-            vol_score = graph.comm_volumes().astype(np.float64)
-
         reserve = min(self._RESERVE, n)
-        ar = np.arange(n)            # shared index scratch
-
-        # Initial reserve via `reserve` argmin-extraction passes: pass k
-        # yields every row's k-th smallest (value, id) entry — the head of
-        # the reference's stable initial sort, in O(reserve * n^2) instead
-        # of O(n^2 log n). Extracted entries are poisoned in fest itself
-        # (saving an n^2 working copy) and restored from res_vals after;
-        # within a row the extracted columns are distinct, so the
-        # scatter-back is an exact inverse.
-        res_ids = np.empty((n, reserve), dtype=np.int64)
-        res_vals = np.empty((n, reserve), dtype=self._dtype)
-        if allowed is None:
-            for k in range(reserve):
-                am = fest.argmin(axis=1)
-                res_ids[:, k] = am
-                res_vals[:, k] = fest[ar, am]
-                fest[ar, am] = np.inf
-            fest[ar[:, None], res_ids] = res_vals
-        else:
-            # Masked: extract from a copied allowed-column sub-matrix so the
-            # disallowed columns (which the reference keeps out via its huge
-            # penalty) can never win an argmin. allowed_ids is ascending, so
-            # the sub-matrix argmin tie-breaks toward the lowest allowed id —
-            # the same (value, id) order the reference's stable sort uses.
-            allowed_ids0 = np.flatnonzero(avail)
-            work = fest[:, allowed_ids0]  # fancy index: already a copy
-            for k in range(reserve):
-                am = work.argmin(axis=1)
-                res_ids[:, k] = allowed_ids0[am]
-                res_vals[:, k] = work[ar, am]
-                work[ar, am] = np.inf
-        res_pos = np.zeros(n, dtype=np.int64)
-        f_min = res_vals[:, 0].copy()
-        f_argmin = res_ids[:, 0].copy()
-
-        # Lazy-reserve bookkeeping: the cycle at which the reference would
-        # last have rebuilt each row (-1 = the initial build, for which
-        # res_* above holds the actual candidate list) and the processors in
-        # consumption order — together they recover, for any row, the free
-        # set the reference's reserve was sorted over.
-        touch_epoch = np.full(n, -1, dtype=np.int64)
-        consumed_order = np.empty(n, dtype=np.int64)
-
-        cols = np.arange(reserve)
-        dirty_mask = np.zeros(n, dtype=bool)
-        # np.flatnonzero(avail), kept incrementally: consumed ids are shifted
-        # out of an ascending buffer in place (ascending order is load-bearing
-        # — it is what makes "first minimum position" mean "lowest id").
-        free_buf = np.flatnonzero(avail)
-        nfree = avail_count
-        free_ids = free_buf[:nfree]
-        # Second-order rows subtract the same static baseline every cycle;
-        # the whole (p, p) difference table is hoisted not just out of the
-        # loop but into the shared topology cache. (Third order recentres
-        # on avg_free, which moves every cycle.) The masked baseline is the
-        # allowed-set average, a per-fault-pattern table built inline — the
-        # same elementwise dist[pk] - avg_all rows the reference computes.
-        if order is EstimatorOrder.SECOND:
-            if allowed is None:
-                dma = ctx.centered_distance_matrix(self._dtype)
-            else:
-                dma = dist - avg_all
-        # unplaced_comm only feeds the third-order recentring term — for the
-        # other orders it is never read, so skip maintaining it.
-        track_comm = order is EstimatorOrder.THIRD
-        # Score buffer in the fest dtype — the reference's `f_sum / count`
-        # divides in that dtype, and matching its rounding is what keeps
-        # near-tie argmax decisions identical.
-        sbuf = np.empty(n, dtype=self._dtype)
-
-        cycles = reserve_hits = reserve_exhaustions = 0
-        rows_rebuilt = neighbor_updates = 0
-        for cycle in range(n):
-            if selection == "gain":
-                np.divide(f_sum, avail_count, out=sbuf)
-                sbuf -= f_min
-                tk = int(sbuf.argmax())
-            elif selection == "max_cost":
-                tk = int(f_min.argmax())
-            else:  # "volume"
-                tk = int(vol_score.argmax())
-            pk = int(f_argmin[tk])
-            assignment[tk] = pk
-            unassigned[tk] = False
-            avail[pk] = False
-            avail_f[pk] = 0
-            avail_count -= 1
-            f_argmin[tk] = -1
-            f_min[tk] = f_min_poison
-            if selection == "volume":
-                vol_score[tk] = -np.inf
-            if prof is not None:
-                cycles += 1
-            if avail_count == 0:
+        arrays = {
+            "fest": fest,
+            "dist": np.ascontiguousarray(dist),
+            "avg_all": avg_all,
+            "avg_free": avg_free,
+            "delta": np.empty(p, dtype=dtype),
+            "unplaced_comm": unplaced_comm,
+            "penalty": penalty,
+            "avail_f": avail_f,
+            "f_sum": f_sum,
+            "f_min": np.empty(n, dtype=dtype),
+            "res_vals": np.empty((n, reserve), dtype=dtype),
+            "volumes": graph.comm_volumes(),
+            "indptr": indptr,
+            "indices": indices,
+            "weights": weights,
+            "f_argmin": np.empty(n, dtype=np.int64),
+            "res_ids": np.empty((n, reserve), dtype=np.int64),
+            "res_pos": np.zeros(n, dtype=np.int64),
+            "assignment": np.full(n, -1, dtype=np.int64),
+            "dirty": np.empty(n, dtype=np.int64),
+            "avail": avail,
+            "unassigned": np.ones(n, dtype=np.uint8),
+            "mark": np.zeros(n, dtype=np.uint8),
+        }
+        state = _native.TopoLBState.bind(
+            dtype, arrays, n=n, p=p, reserve=reserve, order=int(self._order),
+            selection=_SELECTION_RULES.index(self._selection),
+            avail_count=int(avail.sum()), huge=float(huge),
+        )
+        init, cycle = native.topolb(dtype)
+        ref = ctypes.byref(state)
+        init(ref)
+        dirty = arrays["dirty"]
+        for _cycle in range(n):
+            k = cycle(ref)
+            if k < 0:
                 break
-
-            # --- processor pk leaves the free set --------------------------
-            if track_sum:
-                f_sum -= fest[:, pk]
-            consumed_order[cycle] = pk
-            pos_pk = int(np.searchsorted(free_buf[:nfree], pk))
-            free_buf[pos_pk:nfree - 1] = free_buf[pos_pk + 1:nfree]
-            nfree -= 1
-            free_ids = free_buf[:nfree]
-            rescan: list[int] = []
-            stale = np.flatnonzero(f_argmin == pk)
-            if stale.size:
-                epochs = touch_epoch[stale]
-                vmask = epochs == -1
-                sv = stale[vmask]
-                if sv.size:
-                    # Rows never dirtied still hold their initial candidate
-                    # list: first still-free cached candidate after the
-                    # current position, all rows at once (argmax = first
-                    # True). This is the common case in the early cycles of
-                    # symmetric instances, where hundreds of rows share the
-                    # consumed argmin.
-                    ok = avail[res_ids[sv]]
-                    ok &= cols > res_pos[sv, None]
-                    first = ok.argmax(axis=1)
-                    found = ok[ar[: sv.size], first]
-                    hit = sv[found]
-                    if hit.size:
-                        pos = first[found]
-                        res_pos[hit] = pos
-                        f_min[hit] = res_vals[hit, pos]
-                        f_argmin[hit] = res_ids[hit, pos]
-                    rescan.extend(int(t) for t in sv[~found])
-                for t in stale[~vmask]:
-                    # Dirtied rows replay the walk the reference would have
-                    # made over the reserve it rebuilt at the row's epoch —
-                    # without materializing it. Whatever free candidate that
-                    # walk reaches is *preceded* in the epoch's (value, id)
-                    # order only by consumed entries (a free predecessor
-                    # would itself be a smaller free value), so the find is
-                    # exactly the row's current free argmin, sitting at
-                    # epoch-rank r = the number of since-consumed candidates
-                    # ordered ahead of it. The walk succeeds iff r fits
-                    # inside the reserve window; otherwise the reference
-                    # would have exhausted the reserve and rescanned.
-                    t = int(t)
-                    rowt = fest[t]
-                    fv = rowt[free_ids]
-                    j = int(fv.argmin())
-                    vmin = fv[j]
-                    cseq = consumed_order[touch_epoch[t] + 1: cycle + 1]
-                    cv = rowt[cseq]
-                    r = int(np.count_nonzero(cv < vmin))
-                    if r < reserve:
-                        # Ties with vmin can only push the rank further out;
-                        # resolve them by id only when one actually exists.
-                        eq = cv == vmin
-                        if eq.any():
-                            r += int(np.count_nonzero(cseq[eq] < free_ids[j]))
-                    if r < reserve:
-                        f_min[t] = vmin
-                        f_argmin[t] = free_ids[j]
-                    else:
-                        rescan.append(t)
-                if prof is not None:
-                    reserve_exhaustions += len(rescan)
-                    reserve_hits += int(stale.size) - len(rescan)
-
-            # --- neighbor rows: one broadcasted update for all of them -----
-            # The rows written here are exactly the rows repaired below, so
-            # the fancy-indexed `fest[touched] += ...` (gather, add, scatter)
-            # is opened up: gather once into rows_full, update in place,
-            # scatter back, and hand the already-gathered rows to the repair
-            # step. Same elementwise operations, one O(k*p) gather fewer.
-            lo, hi = indptr[tk], indptr[tk + 1]
-            nbrs = indices[lo:hi]
-            sel = unassigned[nbrs]
-            touched = nbrs[sel]
-            rows_full = None
-            if touched.size:
-                ws = weights[lo:hi][sel]
-                if order is EstimatorOrder.FIRST:
-                    upd = ws[:, None] * dist[pk]
-                elif order is EstimatorOrder.SECOND:
-                    upd = ws[:, None] * dma[pk]
-                else:
-                    upd = ws[:, None] * (dist[pk] - avg_free)
-                rows_full = fest[touched]
-                rows_full += upd
-                fest[touched] = rows_full
-                if track_comm:
-                    unplaced_comm[touched] -= ws
-            if prof is not None:
-                neighbor_updates += int(touched.size)
-
-            if order is EstimatorOrder.THIRD:
-                new_avg = (avg_free * (avail_count + 1) - dist[pk]) / avail_count
-                delta = new_avg - avg_free
-                avg_free = new_avg
-                rows = np.flatnonzero(unassigned)
-                fest[rows] += np.outer(unplaced_comm[rows], delta)
-                touched = rows
-                rows_full = None  # recentring rewrote more rows than touched
-
-            # --- repair row reductions (mask union instead of np.unique) ---
-            if rescan or touched.size:
-                if not rescan:
-                    # Common case: CSR neighbor ids are already unique (and
-                    # rows ⊇ rescan for third order), no union to take.
-                    dirty = touched
-                else:
-                    dirty_mask[rescan] = True
-                    dirty_mask[touched] = True
-                    dirty = np.flatnonzero(dirty_mask)
-                    dirty_mask[dirty] = False
-                    rows_full = None
-                touch_epoch[dirty] = cycle
-                k = dirty.size
-                if rows_full is None:
-                    rows_full = fest[dirty]
-                # Head of the reference's sorted reserve, without the sort:
-                # lowest-id minimum over the free columns.
-                sub = rows_full[:, free_ids]
-                posm = sub.argmin(axis=1)
-                f_min[dirty] = sub[ar[:k], posm]
-                f_argmin[dirty] = free_ids[posm]
-                if track_sum:
-                    f_sum[dirty] = rows_full @ avail_f
-                if prof is not None:
-                    rows_rebuilt += int(k)
+            if k and track_sum:
+                rows = dirty[:k]
+                f_sum[rows] = fest[rows] @ avail_f
 
         if prof is not None:
-            prof.count("topolb.cycles", cycles)
-            prof.count("topolb.reserve_hits", reserve_hits)
-            prof.count("topolb.reserve_exhaustions", reserve_exhaustions)
-            prof.count("topolb.rows_rebuilt", rows_rebuilt)
-            prof.count("topolb.neighbor_updates", neighbor_updates)
-        return assignment
+            for name, value in zip(_COUNTERS, state.stats):
+                prof.count(name, value)
+        return arrays["assignment"]

@@ -83,6 +83,58 @@ def test_reference_kernel_request_matches_direct():
     assert result.metadata["kernel"] == "reference"
 
 
+def test_kernel_override_is_per_thread():
+    """Two concurrent engine requests with opposite ``kernel`` fields: inside
+    the run, each thread's mapper construction resolves its own override,
+    and the caller's default is untouched afterwards."""
+    import threading
+
+    from repro.mapping.base import Mapper
+    from repro.mapping.kernels import get_default_kernel
+
+    barrier = threading.Barrier(2)
+    seen: dict[str, tuple[str, str]] = {}
+    errors: list[BaseException] = []
+
+    class Probe(Mapper):
+        """Waits until both requests are inside their override windows."""
+
+        def __init__(self, label):
+            self.label = label
+
+        def map(self, graph, topology, allowed=None):
+            barrier.wait(timeout=30)
+            inner = TopoLB()  # kernel=None: resolved in this thread
+            seen[self.label] = (get_default_kernel(), inner.kernel)
+            barrier.wait(timeout=30)
+            return inner.map(graph, topology)
+
+    graph = mesh2d_pattern(4, 4, message_bytes=64)
+    topology = Torus((4, 4))
+
+    def worker(kernel):
+        try:
+            result = MappingEngine().run(MappingRequest(
+                graph=graph, topology=topology, mapper=Probe(kernel),
+                kernel=kernel, validate="off"))
+            assert result.metadata["kernel"] == kernel
+        except BaseException as exc:  # surfaced in the main thread
+            errors.append(exc)
+            barrier.abort()
+
+    before = get_default_kernel()
+    threads = [threading.Thread(target=worker, args=(k,))
+               for k in ("reference", "incremental")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not errors, errors
+    assert seen == {"reference": ("reference", "reference"),
+                    "incremental": ("incremental", "incremental")}
+    assert get_default_kernel() == before
+
+
 def test_engine_accepts_live_objects():
     graph = mesh2d_pattern(8, 8, message_bytes=1024)
     topology = Torus((8, 8))

@@ -1,7 +1,8 @@
 """Production-vs-reference kernel equivalence.
 
-The production kernels (TopoLB ``vectorized``, RefineTopoLB ``incremental``
-compiled and in NumPy) are only allowed to exist because they are *proven*
+The production kernels (TopoLB's compiled cycle body, RefineTopoLB
+``incremental`` compiled and in NumPy) are only allowed to exist because
+they are *proven*
 interchangeable with the scalar reference paths: every test here pins the
 two to **bit-identical assignments** (not merely equal hop-bytes) across
 estimator orders, selection rules, fest dtypes, instance shapes and
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import MappingError
 from repro.mapping import RandomMapper, RefineTopoLB, TopoLB
@@ -24,7 +27,12 @@ from repro.mapping.kernels import (
     resolve_kernel,
     set_default_kernel,
 )
-from repro.taskgraph import mesh2d_pattern, mesh3d_pattern, random_taskgraph
+from repro.taskgraph import (
+    TaskGraph,
+    mesh2d_pattern,
+    mesh3d_pattern,
+    random_taskgraph,
+)
 from repro.taskgraph.random_graphs import geometric_taskgraph
 from repro.topology import Hypercube, Mesh, Torus
 
@@ -78,6 +86,156 @@ class TestTopoLBEquivalence:
             ref = TopoLB(order=order, kernel="reference").map(graph, topo)
             vec = TopoLB(order=order, kernel="vectorized").map(graph, topo)
             np.testing.assert_array_equal(vec.assignment, ref.assignment)
+
+
+def _topolb_grid():
+    """(label, graph, topology, allowed) for the full native-vs-reference
+    grid: the shape grid, symmetric-tie stencils (every initial fest row
+    ties with dozens of others), an explicit mask on a pristine machine
+    with fewer tasks than allowed processors, and degraded machines whose
+    mask is auto-derived."""
+    from repro.faults import DegradedTopology, FaultSet
+
+    deg = DegradedTopology(
+        Torus((4, 4)), FaultSet(dead_nodes=[5, 10], dead_links=[(0, 1)]))
+    deg3 = DegradedTopology(Torus((4, 4, 2)), FaultSet(dead_nodes=[0, 17, 31]))
+    mask = np.ones(32, dtype=bool)
+    mask[[3, 8, 9, 20, 27]] = False
+    grid = [(label, g, t, None) for label, g, t in _instances()]
+    return grid + [
+        ("torus4x4x4-mesh3d-ties", mesh3d_pattern(4, 4, 4, message_bytes=1.0),
+         Torus((4, 4, 4)), None),
+        ("torus6x6-mesh2d-ties", mesh2d_pattern(6, 6, message_bytes=1.0),
+         Torus((6, 6)), None),
+        ("mesh5x5-mesh2d-ties", mesh2d_pattern(5, 5), Mesh((5, 5)), None),
+        ("masked-torus4x4x2-random",
+         random_taskgraph(24, edge_prob=0.2, seed=12), Torus((4, 4, 2)), mask),
+        ("degraded-torus4x4-random",
+         random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=2), deg, None),
+        ("degraded-torus4x4x2-mesh", mesh2d_pattern(4, 7), deg3, None),
+    ]
+
+
+def _map_both(graph, topo, allowed, path, monkeypatch, **options):
+    """(reference, production) assignments; the production run is forced
+    through the body ``path`` names: the native body must not fall back, and
+    under ``REPRO_NO_NATIVE`` the reference fallback must be what runs."""
+    from repro.mapping import _native
+
+    ref = TopoLB(kernel="reference", **options).map(graph, topo, allowed)
+    with monkeypatch.context() as m:
+        if path == "native":
+            if _native.load() is None:
+                pytest.skip("compiled kernels unavailable")
+            m.setattr(TopoLB, "_run_reference", _forbidden)
+        else:
+            m.setenv("REPRO_NO_NATIVE", "1")
+            m.setattr(TopoLB, "_run_native", _forbidden)
+        got = TopoLB(kernel="vectorized", **options).map(graph, topo, allowed)
+    return ref.assignment, got.assignment
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the production kernel dispatched to the wrong body")
+
+
+class TestNativeTopoLB:
+    """The compiled cycle body, and the reference fallback it dispatches to
+    when unavailable, are bit-identical to the reference across orders,
+    selections, fest dtypes, masks and degraded machines."""
+
+    @pytest.mark.parametrize("label,graph,topo,allowed", _topolb_grid(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"order{int(o)}")
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    @pytest.mark.parametrize("path", ("native", "no-native"))
+    def test_native_matches_reference(self, label, graph, topo, allowed,
+                                      order, selection, path, monkeypatch):
+        for dtype in DTYPES:
+            ref, got = _map_both(graph, topo, allowed, path, monkeypatch,
+                                 order=order, selection=selection, dtype=dtype)
+            np.testing.assert_array_equal(
+                got, ref, err_msg=f"{label} {path} order={order} "
+                                  f"selection={selection} dtype={np.dtype(dtype)}")
+
+    def test_counters_match_reference(self, monkeypatch):
+        """The compiled body books the reference's lazy-repair telemetry."""
+        from repro import obs
+        from repro.mapping import _native
+
+        if _native.load() is None:
+            pytest.skip("compiled kernels unavailable")
+        graph, topo = mesh3d_pattern(4, 4, 4), Torus((4, 4, 4))
+        counters = {}
+        for kernel in ("reference", "vectorized"):
+            prof = obs.enable()
+            try:
+                TopoLB(kernel=kernel).map(graph, topo)
+            finally:
+                obs.disable()
+            counters[kernel] = {k: v for k, v in prof.counters.items()
+                                if k.startswith("topolb.")}
+        assert counters["vectorized"] == counters["reference"]
+        assert counters["reference"]["topolb.cycles"] == 64
+
+    def test_state_binding_checks_arrays(self):
+        """Wrong element types, strided views and missing arrays are refused
+        before any address reaches C."""
+        from repro.mapping._native import TopoLBState
+
+        arrays = {name: np.zeros(4, dtype=TopoLBState._TYPES.get(name, np.float32))
+                  for name in TopoLBState._ARRAYS}
+        TopoLBState.bind(np.float32, arrays, n=4, p=4)
+        for name, bad in (("weights", np.zeros(4, dtype=np.float32)),
+                          ("fest", np.zeros(4, dtype=np.float64)),
+                          ("dirty", np.zeros(8, dtype=np.int64)[::2])):
+            with pytest.raises(ValueError, match=name):
+                TopoLBState.bind(np.float32, {**arrays, name: bad})
+        del arrays["mark"]
+        with pytest.raises(ValueError):
+            TopoLBState.bind(np.float32, arrays)
+
+    def test_float16_runs_the_reference(self, monkeypatch):
+        """The compiled body exists for float32/float64 tables only."""
+        monkeypatch.setattr(TopoLB, "_run_native", _forbidden)
+        graph, topo = mesh2d_pattern(4, 4), Torus((4, 4))
+        got = TopoLB(dtype=np.float16).map(graph, topo)
+        ref = TopoLB(dtype=np.float16, kernel="reference").map(graph, topo)
+        np.testing.assert_array_equal(got.assignment, ref.assignment)
+
+
+_SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 4), (4, 4), (2, 3, 3))
+
+
+@st.composite
+def _tied_instances(draw):
+    """Random graphs whose integer weights tie often and include 0."""
+    shape = draw(st.sampled_from(_SHAPES))
+    topo = (Torus if draw(st.booleans()) else Mesh)(shape)
+    p = topo.num_nodes
+    n = draw(st.integers(2, p))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(chosen),
+                            max_size=len(chosen)))
+    graph = TaskGraph(n, [(a, b, float(w)) for (a, b), w in zip(chosen, weights)])
+    allowed = None
+    if n < p:
+        dead = draw(st.lists(st.integers(0, p - 1), max_size=p - n, unique=True))
+        allowed = np.ones(p, dtype=bool)
+        allowed[dead] = False
+    return graph, topo, allowed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tied_instances(), st.sampled_from(ORDERS), st.sampled_from(SELECTIONS),
+       st.sampled_from(DTYPES))
+def test_property_native_matches_reference(instance, order, selection, dtype):
+    graph, topo, allowed = instance
+    options = dict(order=order, selection=selection, dtype=dtype)
+    ref = TopoLB(kernel="reference", **options).map(graph, topo, allowed)
+    got = TopoLB(kernel="vectorized", **options).map(graph, topo, allowed)
+    np.testing.assert_array_equal(got.assignment, ref.assignment)
 
 
 def _refine_instances():

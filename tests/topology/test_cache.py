@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.mapping.estimation import (
-    average_distance_vector,
-    centered_distance_matrix,
-)
+from repro.mapping.estimation import average_distance_vector
 from repro.topology import FatTree, Hypercube, MatrixTopology, Mesh, Torus
 from repro.topology.cache import (
     MAX_ENTRIES,
@@ -68,13 +65,6 @@ class TestSharing:
         np.testing.assert_allclose(
             v1, t1.distance_matrix(np.float64).mean(axis=0))
 
-    def test_centered_distance_matrix_shared_and_exact(self):
-        t1, t2 = Mesh((3, 4)), Mesh((3, 4))
-        c1 = centered_distance_matrix(t1)
-        assert centered_distance_matrix(t2) is c1
-        dist = t1.distance_matrix(np.float64)
-        np.testing.assert_array_equal(c1, dist - average_distance_vector(t1))
-
     def test_matrix_topology_never_enters_shared_cache(self):
         dist = Mesh((2, 3)).distance_matrix(np.int32)
         topo = MatrixTopology(np.array(dist))
@@ -92,7 +82,6 @@ class TestImmutability:
         for arr in (
             topo.distance_matrix(np.float64),
             average_distance_vector(topo),
-            centered_distance_matrix(topo),
         ):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -168,12 +157,9 @@ class TestEvictionPressure:
 
     def test_derived_vectors_survive_eviction_cycle(self):
         v_before = np.array(average_distance_vector(Torus((4, 4))))
-        c_before = np.array(centered_distance_matrix(Torus((4, 4))))
         self._flood()
         np.testing.assert_array_equal(
             average_distance_vector(Torus((4, 4))), v_before)
-        np.testing.assert_array_equal(
-            centered_distance_matrix(Torus((4, 4))), c_before)
 
     def test_lru_refresh_protects_hot_entry(self):
         hot = (Torus((4, 4)).cache_key(), "distance_matrix",
